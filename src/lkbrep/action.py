@@ -28,7 +28,16 @@ from .complexes import (
     word_weight,
 )
 from .homology import e_basis, e_coordinates, v_chain
-from .linalg import Matrix, VerificationError, field_det, field_inv, field_rank, mat_mul
+from .linalg import (
+    RANK_POINTS,
+    Matrix,
+    VerificationError,
+    field_det,
+    field_rank,
+    mat_mul,
+    rank_mod_p,
+    ring_triangular_inverse,
+)
 from .ring import RationalFunction, rf_is_laurent, ONE, X, Y, ZERO
 
 
@@ -96,17 +105,25 @@ def lkb_generator(k, n):
 
 @lru_cache(maxsize=None)
 def lkb_generator_inverse(k, n):
-    """Inverse generator matrix, computed over Q(x, y) and required to land
-    back in the Laurent ring."""
-    inv = field_inv(lkb_generator(k, n))
+    """Inverse generator matrix over the Laurent ring, from the cubic
+    annihilator (t + x^2 y)(t + x)(t - 1) of every generator s:
 
-    def back(e):
-        lp = rf_is_laurent(e)
-        if lp is None:
-            raise VerificationError(f"inverse of generator {k} has entries outside the ring")
-        return lp
+        s^-1 = (s^2 + (x^2 y + x - 1) s + (x^3 y - x^2 y - x) I) / (x^3 y).
 
-    return inv.map(back)
+    The division is by a unit, so the candidate lies in the ring; it is
+    accepted only if s * s^-1 = I holds exactly."""
+    s = lkb_generator(k, n)
+    s2 = s.mul(s)
+    c1 = X * X * Y + X - 1
+    c0 = X ** 3 * Y - X * X * Y - X
+    unit_inv = (X ** 3 * Y) ** -1
+    size = s.nrows
+    inv = Matrix([[(s2[i, j] + c1 * s[i, j] + (c0 if i == j else ZERO)) * unit_inv
+                   for j in range(size)] for i in range(size)],
+                 nrows=size, ncols=size, row_labels=s.col_labels, col_labels=s.row_labels)
+    if s.mul(inv) != Matrix.identity(size, ONE):
+        raise VerificationError(f"generator {k} fails s * s^-1 = I for its cubic annihilator")
+    return inv
 
 
 def lkb_word(word):
@@ -320,7 +337,9 @@ def h1_action(k, n):
 def eigen_structure_check(n):
     """Eigen-structure of the first generator on the E basis: one vector
     scaled by -x^2 y, a family scaled by -x, a fixed family, and the fixed
-    far cells; the combined family must be a basis over Q(x, y)."""
+    far cells; the combined family must be a basis over Q(x, y).  Full rank
+    is certified by rank_mod_p at one of RANK_POINTS (a lower bound on the
+    rank over Q(x, y)), falling back to field_rank when no point reaches it."""
     if n < 3:
         raise ValueError("need n >= 3")
     pairs = pair_list(n)
@@ -368,7 +387,8 @@ def eigen_structure_check(n):
             family.append(v)
     fam = Matrix([[family[j][i] for j in range(len(family))] for i in range(size)],
                  nrows=size, ncols=len(family))
-    full = field_rank(fam) == size
+    full = (any(rank_mod_p(fam, *pt) == size for pt in RANK_POINTS)
+            or field_rank(fam) == size)
     checks.append(("family is a basis", len(family) == size and full))
     return {"n": n, "checks": checks, "passed": all(ok for _, ok in checks)}
 
@@ -460,23 +480,20 @@ def _fork_change_of_basis(n):
 
 
 @lru_cache(maxsize=None)
+def _fork_change_of_basis_inverse(n):
+    return ring_triangular_inverse(_fork_change_of_basis(n))
+
+
+@lru_cache(maxsize=None)
 def fork_basis_action(k, n):
     """Generator matrix in the fork basis: conjugate the homology action by
-    the change of basis; entries must stay in the Laurent ring."""
+    the change of basis, all in the Laurent ring.  The change of basis is
+    upper triangular with monomial diagonal, so it is inverted once per n by
+    back-substitution and accepted only if cb * cb^-1 = I holds exactly."""
     cb = _fork_change_of_basis(n)
-    cbi = field_inv(cb)
-    m = homology_action(k, n)
-    prod = mat_mul(mat_mul(cbi, m.map(RationalFunction)), cb.map(RationalFunction))
-
-    def back(e):
-        lp = rf_is_laurent(e)
-        if lp is None:
-            raise VerificationError("fork-basis action has entries outside the ring")
-        return lp
-
+    prod = _fork_change_of_basis_inverse(n).mul(homology_action(k, n)).mul(cb)
     labels = [f"X({p[0]},{p[1]})" for p in pair_list(n)]
-    out = prod.map(back)
-    return Matrix(out.entries, row_labels=labels, col_labels=labels)
+    return Matrix(prod.entries, row_labels=labels, col_labels=labels)
 
 
 def _composite_action_on_e(ks, n):

@@ -27,7 +27,7 @@ from math import gcd
 
 from .complexes import CellComplex, TwistedComplex, word_to_chain
 from .linalg import int_smith, int_solve
-from .ring import LaurentPolynomial
+from .ring import LaurentPolynomial, VerificationError
 
 
 @dataclass(frozen=True, order=True)
@@ -154,10 +154,10 @@ def build_facets(lines):
         for rep, incident in reps:
             sv = _sign_vector(lines, rep)
             if [k for k, s in enumerate(sv) if s == 0] != [li]:
-                raise AssertionError("edge representative does not lie on its carrier only")
+                raise VerificationError("edge representative does not lie on its carrier only")
             edges.append(EdgeFacet(li, rep, sv, incident))
-        # every line carries one more edge than it has vertices
-        assert len(reps) == len(on_line) + 1
+        if len(reps) != len(on_line) + 1:
+            raise VerificationError("a line does not carry one more edge than it has vertices")
 
     maxcoef = max((max(abs(l.a), abs(l.b), abs(l.c)) for l in lines), default=1)
     eps0 = Fraction(1, 4 * (1 + maxcoef) * (1 + len(lines)))
@@ -215,7 +215,7 @@ def cyclic_order_at_vertex(fc, vidx):
         lambda a, b: _ccw_key(v.point)(fc.chambers[a].point, fc.chambers[b].point)))
     nlines = sum(1 for s in v.sign if s == 0)
     if len(around) != 2 * nlines:
-        raise AssertionError("wrong number of chambers around a vertex")
+        raise VerificationError("wrong number of chambers around a vertex")
     start = min(range(len(around)), key=lambda i: fc.chambers[around[i]].sign)
     return around[start:] + around[:start]
 
@@ -233,7 +233,7 @@ def _wall_between(fc, vidx, c1, c2):
              and sign_leq(e.sign, fc.chambers[c1].sign)
              and sign_leq(e.sign, fc.chambers[c2].sign)]
     if len(found) != 1:
-        raise AssertionError("consecutive chambers do not share a unique wall")
+        raise VerificationError("consecutive chambers do not share a unique wall")
     return found[0]
 
 
@@ -265,7 +265,7 @@ def build_salvetti(fc):
     for fi, e in enumerate(fc.edges):
         adj = [ci for ci, c in enumerate(fc.chambers) if sign_leq(e.sign, c.sign)]
         if len(adj) != 2:
-            raise AssertionError("edge-facet without exactly two chambers")
+            raise VerificationError("edge-facet without exactly two chambers")
         lo, hi = sorted(adj, key=lambda ci: fc.chambers[ci].sign)
         edges[_edge_label(fi, lo)] = (("w", lo), ("w", hi))
         edges[_edge_label(fi, hi)] = (("w", hi), ("w", lo))
@@ -294,9 +294,12 @@ def build_salvetti(fc):
     cx = CellComplex(vertices, edges, cells)
     cx.validate()
     nv, ne, nc = cx.counts()
-    assert nv == len(fc.chambers)
-    assert ne == 2 * len(fc.edges)
-    assert nc == sum(len(cyclic_order_at_vertex(fc, v)) for v in range(len(fc.vertices)))
+    if nv != len(fc.chambers):
+        raise VerificationError("Salvetti vertex count differs from the chamber count")
+    if ne != 2 * len(fc.edges):
+        raise VerificationError("Salvetti edge count differs from twice the edge-facet count")
+    if nc != sum(len(cyclic_order_at_vertex(fc, v)) for v in range(len(fc.vertices))):
+        raise VerificationError("Salvetti 2-cell count differs from the vertex-chamber incidences")
     return SalvettiComplex(fc, cx, edge_facet, edge_line)
 
 
@@ -324,7 +327,7 @@ def _loop_chains(cx):
                     order.append(src)
         frontier = nxt
     if len(parent) != len(vs):
-        raise AssertionError("Salvetti complex is not connected")
+        raise VerificationError("Salvetti complex is not connected")
 
     path_cache = {vs[0]: [0] * len(es)}
 

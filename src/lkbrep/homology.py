@@ -23,11 +23,13 @@ from .complexes import (
     sal_fn,
 )
 from .linalg import (
+    RANK_POINTS,
     Matrix,
     VerificationError,
     field_kernel_raw,
     int_smith,
     int_solve,
+    rank_mod_p,
 )
 from .ring import (
     LaurentPolynomial,
@@ -101,16 +103,34 @@ def e_matrix(n):
 @lru_cache(maxsize=None)
 def kernel_rank(n):
     """Dimension over Q(x, y) of the kernel of the twisted boundary; also
-    verifies that the E cycles span the computed kernel.
+    certifies that the E cycles span that kernel.
 
-    Membership of a kernel vector in the span of the E cycles is decided by
-    its forced expansion: the A-block of the E-matrix is diagonal, so the
-    only possible coordinates are the A coefficients divided by the leading
-    coefficient, and e_coordinates checks that expansion exactly."""
+    The certificate is a two-sided bound.  From below: the C(n, 2) E cycles
+    are cycles (checked by e_basis) and are independent, because their
+    A-block is exactly LEAD times the identity (checked here).  From above:
+    the rank of the boundary over F_p at a fixed point is at most its rank
+    over Q(x, y), so ncols - rank_p bounds the kernel dimension.  When the
+    bounds meet at one of RANK_POINTS the E cycles span the kernel.
+
+    If no point certifies, the kernel is computed by fraction-free
+    elimination instead and every basis vector is expanded over the E
+    cycles: the A-block is diagonal, so the only possible coordinates are
+    the A coefficients divided by LEAD, and e_coordinates checks that
+    expansion exactly."""
     if n < 2:
         raise ValueError("need n >= 2")
     tc = sal_fn(n)
-    vecs = field_kernel_raw(tc.differential_matrix())
+    es = e_basis(n)
+    pairs = pair_list(n)
+    for p in pairs:
+        for q in pairs:
+            if es[p][cell_A(*q)] != (LEAD if q == p else ZERO):
+                raise VerificationError(
+                    f"A-block of the E cycles is not LEAD*I at E({p[0]},{p[1]}), A({q[0]},{q[1]})")
+    d = tc.differential_matrix()
+    if any(d.ncols - rank_mod_p(d, *pt) == len(pairs) for pt in RANK_POINTS):
+        return len(pairs)
+    vecs = field_kernel_raw(d)
     for num, _den in vecs:
         # num is den times the kernel vector, hence spans the same line
         u = Chain(2, {cell: num[k] for k, cell in enumerate(tc.basis2)})

@@ -7,15 +7,15 @@ row by row and run fraction-free (Bareiss) elimination over the ring, with
 rational functions appearing only during back-substitution; pivots are
 always the first nonzero entry scanning rows top-down and columns left to
 right, so identical inputs give identical outputs.
+
+The verification path prefers certificates to field elimination: the rank
+modulo a prime at a fixed point bounds the rank over Q(x, y) from below,
+and a ring inverse is accepted once a * a^-1 = I holds exactly.
 """
 
 from __future__ import annotations
 
-from .ring import RationalFunction, ONE, ZERO, _div_exact_any, _as_rf
-
-
-class VerificationError(RuntimeError):
-    """A structural identity the computation relies on failed to hold."""
+from .ring import RationalFunction, VerificationError, ONE, ZERO, _div_exact_any, _as_rf
 
 
 class Matrix:
@@ -136,6 +136,76 @@ class Matrix:
 
 def mat_mul(a, b):
     return a.mul(b)
+
+
+# ---------------------------------------------------------------------------
+# certificates: cheap witnesses checked exactly
+
+MOD_P = (1 << 61) - 1
+
+# fixed evaluation points, tried in order by the rank certificates
+RANK_POINTS = ((3, 5), (7, 11), (13, 17))
+
+
+def rank_mod_p(a, x0, y0):
+    """Rank over F_p, p = 2^61 - 1, of a matrix of Laurent polynomials (or
+    ints) evaluated at x = x0, y = y0; x0 and y0 must be nonzero mod p.
+
+    Evaluation is a ring map Z[x^+-1, y^+-1] -> F_p, so a minor nonzero at
+    the point is nonzero as a polynomial: the result is a lower bound on the
+    rank over Q(x, y), and equals it when the point avoids every maximal
+    nonzero minor."""
+    def value(e):
+        if isinstance(e, int):
+            return e % MOD_P
+        return sum(c * pow(x0, ex, MOD_P) * pow(y0, ey, MOD_P)
+                   for (ex, ey), c in e.terms.items()) % MOD_P
+
+    rows = [[value(e) for e in row] for row in a.entries]
+    rank = 0
+    for c in range(a.ncols):
+        p = next((i for i in range(rank, a.nrows) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[p], rows[rank] = rows[rank], rows[p]
+        inv = pow(rows[rank][c], -1, MOD_P)
+        pivot_row = rows[rank]
+        for i in range(rank + 1, a.nrows):
+            f = rows[i][c] * inv % MOD_P
+            if f:
+                row = rows[i]
+                for j in range(c, a.ncols):
+                    row[j] = (row[j] - f * pivot_row[j]) % MOD_P
+        rank += 1
+    return rank
+
+
+def ring_triangular_inverse(a):
+    """Inverse over the Laurent ring of an upper-triangular matrix whose
+    diagonal entries are signed monomials, by back-substitution; the result
+    is accepted only if a * inverse = I holds exactly."""
+    n = a.nrows
+    if a.ncols != n:
+        raise ValueError("inverse of a non-square matrix")
+    ent = a.entries
+    if not all(ent[i][i].is_unit_monomial() for i in range(n)):
+        raise VerificationError("diagonal entry is not a unit of the ring")
+    diag_inv = [ent[i][i] ** -1 for i in range(n)]
+    cols = []
+    for j in range(n):
+        v = [ZERO] * n
+        for i in range(j, -1, -1):
+            acc = ONE if i == j else ZERO
+            for l in range(i + 1, j + 1):
+                if ent[i][l] and v[l]:
+                    acc = acc - ent[i][l] * v[l]
+            v[i] = acc * diag_inv[i] if acc else ZERO
+        cols.append(v)
+    inv = Matrix([[cols[j][i] for j in range(n)] for i in range(n)], nrows=n, ncols=n,
+                 row_labels=a.col_labels, col_labels=a.row_labels)
+    if a.mul(inv) != Matrix.identity(n, ONE):
+        raise VerificationError("triangular inverse fails a * a^-1 = I")
+    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ from fractions import Fraction
 from math import gcd
 
 
+class VerificationError(RuntimeError):
+    """A structural identity the computation relies on failed to hold."""
+
+
 class UnsupportedDivisorError(ValueError):
     """Exact division was asked for a divisor it cannot handle (cleared
     leading coefficient not +-1).  Distinct from "not divisible"."""
@@ -280,7 +284,7 @@ def _div_exact_any(f, g):
         return None
     q = q0.shifted(fm[0] - gm[0], fm[1] - gm[1])
     if q * g != f:
-        raise AssertionError("exact division verification failed")
+        raise VerificationError("exact division verification failed")
     return q
 
 
@@ -304,7 +308,7 @@ def lp_try_div_exact(f, g):
         return None
     q = q0.shifted(fm[0] - gm[0], fm[1] - gm[1])
     if q * g != f:
-        raise AssertionError("exact division verification failed")
+        raise VerificationError("exact division verification failed")
     return q
 
 

@@ -31,9 +31,10 @@ from lkbrep.complexes import (
     sal_weights,
     word_weight,
 )
+from lkbrep import action
 from lkbrep.homology import e_basis, v_membership
-from lkbrep.linalg import Matrix, mat_mul
-from lkbrep.ring import ONE, X, Y, ZERO
+from lkbrep.linalg import Matrix, VerificationError, field_inv, field_rank, mat_mul
+from lkbrep.ring import RationalFunction, rf_is_laurent, ONE, X, Y, ZERO
 
 
 def pair_index(n):
@@ -74,6 +75,27 @@ def test_generator_inverses_are_integral(n):
     for k in range(1, n):
         gi = lkb_generator_inverse(k, n)
         assert mat_mul(lkb_generator(k, n), gi) == Matrix.identity(n * (n - 1) // 2, ONE)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_generator_inverse_matches_field_inverse(n):
+    for k in range(1, n):
+        want = field_inv(lkb_generator(k, n)).map(rf_is_laurent)
+        got = lkb_generator_inverse(k, n)
+        assert got.entries == want.entries
+        assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+
+
+def test_generator_inverse_rejects_a_matrix_off_the_annihilator(monkeypatch):
+    # 2I is invertible over Q(x, y) but the cubic does not kill it
+    monkeypatch.setattr(action, "lkb_generator",
+                        lambda k, n: Matrix.identity(3, ONE + ONE))
+    lkb_generator_inverse.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match=r"s \* s\^-1"):
+            lkb_generator_inverse(1, 3)
+    finally:
+        lkb_generator_inverse.cache_clear()
 
 
 def test_s_edge_word_examples():
@@ -147,6 +169,20 @@ def test_eigen_structure_partial_n3():
     assert eigen_structure_check(3)["passed"]
 
 
+def test_eigen_basis_falls_back_when_no_point_certifies(monkeypatch):
+    # at x = y = 1 the F family vanishes, so only elimination can decide
+    calls = []
+
+    def spy(a):
+        calls.append(a.ncols)
+        return field_rank(a)
+
+    monkeypatch.setattr(action, "RANK_POINTS", ((1, 1),))
+    monkeypatch.setattr(action, "field_rank", spy)
+    assert eigen_structure_check(4)["passed"]
+    assert calls == [6]
+
+
 def test_fork_chain_examples():
     u = fork_chain(1, 2, 4, "class")
     assert u == e_basis(4)[(1, 2)].scaled(X)
@@ -201,6 +237,21 @@ def test_fork_change_of_basis_is_triangular():
 def test_fork_basis_action_n2():
     m = fork_basis_action(1, 2)
     assert m.entries == [[-X * X * Y]]
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_fork_basis_action_matches_rational_conjugation(n):
+    # reference: invert the change of basis over Q(x, y), conjugate with
+    # rational-function matrices, then map every entry back into the ring
+    cb = _fork_change_of_basis(n)
+    cbi = field_inv(cb)
+    labels = [f"X({p},{q})" for p, q in pair_list(n)]
+    for k in range(1, n):
+        m = homology_action(k, n)
+        prod = mat_mul(mat_mul(cbi, m.map(RationalFunction)), cb.map(RationalFunction))
+        got = fork_basis_action(k, n)
+        assert got.entries == prod.map(rf_is_laurent).entries
+        assert got.row_labels == got.col_labels == labels
 
 
 @pytest.mark.parametrize("level", ["matrix", "homology", "fork"])

@@ -17,6 +17,8 @@ from lkbrep.homology import (
     verify_eta_triangular,
     LEAD,
 )
+from lkbrep import homology
+from lkbrep.linalg import VerificationError, field_kernel_raw
 from lkbrep.ring import LaurentPolynomial, RationalFunction, ONE, X, Y, ZERO
 
 LP = LaurentPolynomial
@@ -63,6 +65,53 @@ def test_e_cycle_examples():
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 3), (4, 6)])
 def test_kernel_rank_small(n, expected):
     assert kernel_rank(n) == expected == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_kernel_rank_matches_elimination_and_e_span(n):
+    # Bareiss elimination is the oracle for the certified rank, and every
+    # kernel vector it finds must expand over the E cycles
+    tc = sal_fn(n)
+    vecs = field_kernel_raw(tc.differential_matrix())
+    assert kernel_rank(n) == len(vecs)
+    for num, _den in vecs:
+        e_coordinates(Chain(2, {cell: num[k] for k, cell in enumerate(tc.basis2)}), n)
+
+
+def test_kernel_rank_falls_back_when_no_point_certifies(monkeypatch):
+    # at x = y = 1 the boundary loses rank, so the upper bound exceeds
+    # C(n, 2) and the elimination path has to decide
+    calls = []
+
+    def spy(a):
+        calls.append(a.ncols)
+        return field_kernel_raw(a)
+
+    monkeypatch.setattr(homology, "RANK_POINTS", ((1, 1),))
+    monkeypatch.setattr(homology, "field_kernel_raw", spy)
+    kernel_rank.cache_clear()
+    try:
+        for n in (2, 3, 4):
+            assert kernel_rank(n) == n * (n - 1) // 2
+    finally:
+        kernel_rank.cache_clear()
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("corrupt", ["repeated", "scaled"])
+def test_kernel_rank_rejects_a_corrupted_e_a_block(monkeypatch, corrupt):
+    bad = dict(e_basis(3))
+    if corrupt == "repeated":
+        bad[(1, 3)] = bad[(1, 2)]  # still a cycle, no longer independent
+    else:
+        bad[(2, 3)] = bad[(2, 3)].scaled(X)
+    monkeypatch.setattr(homology, "e_basis", lambda n: bad)
+    kernel_rank.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match="A-block"):
+            kernel_rank(3)
+    finally:
+        kernel_rank.cache_clear()
 
 
 @pytest.mark.parametrize("n", (2, 3))

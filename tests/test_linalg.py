@@ -14,6 +14,10 @@ from lkbrep.linalg import (
     int_smith_transforms,
     int_solve,
     mat_mul,
+    rank_mod_p,
+    ring_triangular_inverse,
+    RANK_POINTS,
+    VerificationError,
 )
 from lkbrep.ring import LaurentPolynomial, RationalFunction, ONE, X, Y, ZERO
 
@@ -72,6 +76,33 @@ def test_rank_nullity_randomized():
         n = rng.randint(1, 12)
         a = Matrix([[gens[rng.randrange(len(gens))] for _ in range(n)] for _ in range(m)])
         assert field_rank(a) + len(field_kernel(a)) == n
+
+
+def test_rank_mod_p_is_a_lower_bound_on_field_rank():
+    rng = random.Random(12)
+    gens = [ZERO, ONE, X, Y, X - 1, Y - 1, X * Y + 1, -X, LP({(-1, 2): 3}), 2]
+    for _ in range(20):
+        m = rng.randint(1, 8)
+        n = rng.randint(1, 8)
+        a = Matrix([[gens[rng.randrange(len(gens))] for _ in range(n)] for _ in range(m)])
+        r = field_rank(a)
+        ranks = [rank_mod_p(a, *pt) for pt in RANK_POINTS + ((1, 1), (1, -1))]
+        assert all(rp <= r for rp in ranks)
+        assert max(ranks) == r
+    # x - y vanishes on the diagonal x = y only
+    a = Matrix([[X - Y]])
+    assert (rank_mod_p(a, 2, 2), rank_mod_p(a, 2, 3)) == (0, 1)
+
+
+def test_ring_triangular_inverse():
+    a = lp_matrix([[X, 1 - X, Y], [0, -Y, X * X], [0, 0, 1]])
+    inv = ring_triangular_inverse(a)
+    assert mat_mul(a, inv) == Matrix.identity(3, ONE)
+    assert mat_mul(inv, a) == Matrix.identity(3, ONE)
+    with pytest.raises(VerificationError, match="unit"):
+        ring_triangular_inverse(lp_matrix([[X + 1, 0], [0, 1]]))
+    with pytest.raises(VerificationError, match=r"a \* a\^-1"):
+        ring_triangular_inverse(lp_matrix([[1, 0], [X, 1]]))  # lower triangular
 
 
 def test_field_solve_examples():

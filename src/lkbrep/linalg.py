@@ -199,7 +199,7 @@ def ring_triangular_inverse(a):
             for l in range(i + 1, j + 1):
                 if ent[i][l] and v[l]:
                     acc = acc - ent[i][l] * v[l]
-            v[i] = acc * diag_inv[i] if acc else ZERO
+            v[i] = acc * diag_inv[i]
         cols.append(v)
     inv = Matrix([[cols[j][i] for j in range(n)] for i in range(n)], nrows=n, ncols=n,
                  row_labels=a.col_labels, col_labels=a.row_labels)

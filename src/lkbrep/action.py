@@ -20,7 +20,6 @@ from .complexes import (
     cell_B,
     edge_a,
     edge_b,
-    edge_basis,
     edge_c,
     pair_list,
     sal_fn,
@@ -32,13 +31,11 @@ from .linalg import (
     RANK_POINTS,
     Matrix,
     VerificationError,
-    field_det,
     field_rank,
-    mat_mul,
     rank_mod_p,
     ring_triangular_inverse,
 )
-from .ring import RationalFunction, rf_is_laurent, ONE, X, Y, ZERO
+from .ring import rf_is_laurent, ONE, X, Y, ZERO
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,7 @@ def lkb_word(word):
     out = Matrix(out.entries, row_labels=labels, col_labels=labels)
     for k in word.letters:
         g = lkb_generator(k, n) if k > 0 else lkb_generator_inverse(-k, n)
-        out = mat_mul(out, g)
+        out = out.mul(g)
     return out
 
 
@@ -239,11 +236,6 @@ class ChainEndo:
             out = out + self.c2_cols[cell].scaled(coeff)
         return out
 
-    def c1_matrix(self):
-        es = edge_basis(self.n)
-        return Matrix([[self.c1_cols[c][r] for c in es] for r in es],
-                      nrows=len(es), ncols=len(es), row_labels=es, col_labels=es)
-
     def c2_matrix(self):
         cs = sal_fn(self.n).basis2
         return Matrix([[self.c2_cols[c][r] for c in cs] for r in cs],
@@ -304,7 +296,8 @@ def homology_action(k, n):
 def h1_action(k, n):
     """Induced permutation on integral first homology in the basis of the
     a classes and the first c class: the chain model specialized at
-    x = y = 1 and projected along the relations c_i ~ c_1, b_i ~ a_i."""
+    x = y = 1 and projected along the relations c_i ~ c_1, b_i ~ a_i;
+    required to be the transposition of a_k and a_(k+1)."""
     endo = chain_action(k, n)
     basis = [edge_a(i) for i in range(1, n + 1)] + [edge_c(1)]
 
@@ -330,8 +323,9 @@ def h1_action(k, n):
     perm = {k - 1: k, k: k - 1}  # zero-based transposition of a_k, a_{k+1}
     for j in range(n + 1):
         expected[perm.get(j, j)][j] = 1
-    return {"matrix": mat, "swaps": (k, k + 1),
-            "is_transposition": mat.entries == expected}
+    if mat.entries != expected:
+        raise VerificationError(f"generator {k} does not swap a{k} and a{k + 1} on first homology")
+    return {"matrix": mat, "swaps": (k, k + 1)}
 
 
 def eigen_structure_check(n):
@@ -496,71 +490,20 @@ def fork_basis_action(k, n):
     return Matrix(prod.entries, row_labels=labels, col_labels=labels)
 
 
-def _composite_action_on_e(ks, n):
-    """Apply the chain models of the listed generators (rightmost first) to
-    every E cycle and expand the results over the E basis."""
-    endos = [chain_action(k, n) for k in ks]
-    pairs = pair_list(n)
-    idx = {p: a for a, p in enumerate(pairs)}
-    size = len(pairs)
-    cols = []
-    for p in pairs:
-        u = e_basis(n)[p]
-        for endo in reversed(endos):
-            u = endo.apply_c2(u)
-        coords = e_coordinates(u, n)
-        col = [ZERO] * size
-        for q, c in coords.items():
-            lp = rf_is_laurent(c)
-            if lp is None:
-                raise VerificationError("composite chain action leaves the ring")
-            col[idx[q]] = lp
-        cols.append(col)
-    return Matrix([[cols[j][i] for j in range(size)] for i in range(size)],
-                  nrows=size, ncols=size)
-
-
-def check_braid_relations(n, level="matrix"):
-    """Verify the braid relation for adjacent generators and commutation
-    for distant ones, at the requested level; the chain level is asserted
-    on the induced kernel action."""
-    if level == "matrix":
-        gen = lambda k: lkb_generator(k, n)
-    elif level == "homology":
-        gen = lambda k: homology_action(k, n)
-    elif level == "fork":
-        gen = lambda k: fork_basis_action(k, n)
-    elif level != "chain":
-        raise ValueError(f"unknown level {level!r}")
+def check_braid_relations(gens):
+    """Verify, on the matrices gens = [s_1, ..., s_(n-1)] of one level
+    (representation, homology or fork basis), the braid relation
+    s_k s_(k+1) s_k = s_(k+1) s_k s_(k+1) for adjacent generators and
+    commutation s_k s_l = s_l s_k for distant ones."""
     report = []
-    for k in range(1, n - 1):
-        if level == "chain":
-            lhs = _composite_action_on_e((k, k + 1, k), n)
-            rhs = _composite_action_on_e((k + 1, k, k + 1), n)
-        else:
-            a, b = gen(k), gen(k + 1)
-            lhs = mat_mul(mat_mul(a, b), a)
-            rhs = mat_mul(mat_mul(b, a), b)
-        report.append({"relation": f"braid({k},{k + 1})", "level": level,
-                       "passed": lhs.entries == rhs.entries})
-    for k in range(1, n - 1):
-        for l in range(k + 2, n):
-            if level == "chain":
-                lhs = _composite_action_on_e((k, l), n)
-                rhs = _composite_action_on_e((l, k), n)
-            else:
-                a, b = gen(k), gen(l)
-                lhs = mat_mul(a, b)
-                rhs = mat_mul(b, a)
-            report.append({"relation": f"commute({k},{l})", "level": level,
-                           "passed": lhs.entries == rhs.entries})
+    for k in range(1, len(gens)):
+        a, b = gens[k - 1], gens[k]
+        lhs = a.mul(b).mul(a)
+        rhs = b.mul(a).mul(b)
+        report.append({"relation": f"braid({k},{k + 1})", "passed": lhs.entries == rhs.entries})
+    for k in range(1, len(gens)):
+        for l in range(k + 2, len(gens) + 1):
+            a, b = gens[k - 1], gens[l - 1]
+            report.append({"relation": f"commute({k},{l})",
+                           "passed": a.mul(b).entries == b.mul(a).entries})
     return report
-
-
-def lkb_determinant_is_unit(k, n):
-    """The generator's determinant and its reciprocal must both lie in the
-    ring, making it a unit (a signed monomial)."""
-    det = field_det(lkb_generator(k, n))
-    d = rf_is_laurent(det)
-    r = rf_is_laurent(RationalFunction(ONE) / det)
-    return d is not None and r is not None and d.is_unit_monomial()

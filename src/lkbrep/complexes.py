@@ -192,20 +192,17 @@ def word_weight(word, weights):
 class TwistedComplex:
     """Chain complex of free modules over the Laurent ring with a
     distinguished cell basis in each degree and the twisted differential
-    C_2 -> C_1 stored column by column.  For a one-vertex complex every
-    edge is a loop, so the C_1 -> C_0 differential is the zero map and is
-    stored as such; arrangement complexes leave it unset (their twisted
-    degree-0 differential is never needed here)."""
+    C_2 -> C_1 stored column by column (the degree-1 differential is never
+    needed here)."""
 
-    __slots__ = ("n", "basis0", "basis1", "basis2", "d_cols", "d1_cols", "weights")
+    __slots__ = ("n", "basis0", "basis1", "basis2", "d_cols", "weights")
 
-    def __init__(self, basis0, basis1, basis2, d_cols, weights, n=None, d1_cols=None):
+    def __init__(self, basis0, basis1, basis2, d_cols, weights, n=None):
         self.n = n
         self.basis0 = list(basis0)
         self.basis1 = list(basis1)
         self.basis2 = list(basis2)
         self.d_cols = d_cols
-        self.d1_cols = d1_cols
         self.weights = weights
 
     def differential(self, u):
@@ -223,15 +220,6 @@ class TwistedComplex:
             rows.append([self.d_cols[c][e] for c in self.basis2])
         return Matrix(rows, nrows=len(self.basis1), ncols=len(self.basis2),
                       row_labels=self.basis1, col_labels=self.basis2)
-
-    def degree1_differential_matrix(self):
-        if self.d1_cols is None:
-            raise ValueError("this complex does not carry a degree-0 differential")
-        rows = []
-        for v in self.basis0:
-            rows.append([self.d1_cols[e][v] for e in self.basis1])
-        return Matrix(rows, nrows=len(self.basis0), ncols=len(self.basis1),
-                      row_labels=self.basis0, col_labels=self.basis1)
 
     def untwist(self):
         """Ordinary cellular boundary matrix: every weight specialized to 1."""
@@ -296,17 +284,7 @@ def sal_fn(n):
     d_cols = {}
     for cell in cell_basis(n):
         d_cols[cell] = word_to_chain(sal_boundary_word(cell), weights)
-    d1_cols = {e: Chain(0) for e in edge_basis(n)}  # every edge is a loop
-    return TwistedComplex([VERTEX], edge_basis(n), cell_basis(n), d_cols, weights,
-                          n=n, d1_cols=d1_cols)
-
-
-def differential(tc, u):
-    return tc.differential(u)
-
-
-def untwist(tc):
-    return tc.untwist()
+    return TwistedComplex([VERTEX], edge_basis(n), cell_basis(n), d_cols, weights, n=n)
 
 
 class CellComplex:
@@ -322,10 +300,6 @@ class CellComplex:
 
     def counts(self):
         return len(self.vertices), len(self.edges), len(self.cells)
-
-    def euler_characteristic(self):
-        v, e, c = self.counts()
-        return v - e + c
 
     def validate(self):
         """Check that every boundary word chains source-to-target and closes

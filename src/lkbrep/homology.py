@@ -24,7 +24,6 @@ from .complexes import (
 )
 from .linalg import (
     RANK_POINTS,
-    Matrix,
     VerificationError,
     field_kernel_raw,
     int_smith,
@@ -87,17 +86,6 @@ def e_basis(n):
             raise VerificationError(f"E({i},{j}) is not a cycle")
         out[(i, j)] = u
     return out
-
-
-def e_matrix(n):
-    """Columns = E cycles written in the 2-cell basis."""
-    basis2 = sal_fn(n).basis2
-    es = e_basis(n)
-    pairs = pair_list(n)
-    return Matrix(
-        [[es[p][cell] for p in pairs] for cell in basis2],
-        nrows=len(basis2), ncols=len(pairs),
-        row_labels=basis2, col_labels=pairs)
 
 
 @lru_cache(maxsize=None)
@@ -192,55 +180,24 @@ def _is_lp_chain(u):
 def e_coordinates(u, n):
     """Coordinates of a cycle over the E cycles, as rational functions.
 
-    The coordinate at (i, j) is the A(i, j) coefficient divided by
-    (y-1)(xy+1); the full chain identity is then re-verified, which also
-    confirms every B coefficient."""
-    tc = sal_fn(n)
-    lp_input = _is_lp_chain(u)
-    boundary = tc.differential(u) if lp_input else _rf_differential(tc, u)
-    if boundary:
+    The chain must have Laurent coefficients and be a cycle; anything else
+    raises ValueError.  The coordinate at (i, j) is the A(i, j) coefficient
+    divided by (y-1)(xy+1); the full chain identity is then re-verified,
+    which also confirms every B coefficient."""
+    if not _is_lp_chain(u):
+        raise ValueError("expected a chain with Laurent coefficients")
+    if sal_fn(n).differential(u):
         raise ValueError("input chain is not a cycle")
     es = e_basis(n)
     pairs = pair_list(n)
-    if lp_input:
-        coords = {p: RationalFunction(u[cell_A(*p)], LEAD) for p in pairs}
-        lhs = u.scaled(LEAD)
-        rhs = Chain(2)
-        for p in pairs:
-            a = u[cell_A(*p)]
-            if a:
-                rhs = rhs + es[p].scaled(a)
-        if lhs != rhs:
-            raise VerificationError("cycle is not the expected combination of E cycles")
-        return coords
-    lead = RationalFunction(LEAD)
-    coords = {}
-    rem = _rf_chain(u)
+    rhs = Chain(2)
     for p in pairs:
-        c = _as_rf_coeff(u[cell_A(*p)]) / lead
-        coords[p] = c
-        if c:
-            rem = rem - _rf_chain(es[p]).scaled(c)
-    if rem:
+        a = u[cell_A(*p)]
+        if a:
+            rhs = rhs + es[p].scaled(a)
+    if u.scaled(LEAD) != rhs:
         raise VerificationError("cycle is not the expected combination of E cycles")
-    return coords
-
-
-def _as_rf_coeff(c):
-    if isinstance(c, RationalFunction):
-        return c
-    return RationalFunction(c)
-
-
-def _rf_chain(u):
-    return Chain(u.degree, {l: _as_rf_coeff(c) for l, c in u.coeffs.items()})
-
-
-def _rf_differential(tc, u):
-    out = Chain(1)
-    for label, coeff in u.coeffs.items():
-        out = out + _rf_chain(tc.d_cols[label]).scaled(_as_rf_coeff(coeff))
-    return out
+    return {p: RationalFunction(u[cell_A(*p)], LEAD) for p in pairs}
 
 
 def v_membership(u, n):

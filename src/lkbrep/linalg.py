@@ -15,7 +15,7 @@ and a ring inverse is accepted once a * a^-1 = I holds exactly.
 
 from __future__ import annotations
 
-from .ring import RationalFunction, VerificationError, ONE, ZERO, _div_exact_any, _as_rf
+from .ring import RationalFunction, VerificationError, ONE, ZERO, _as_rf, lp_try_div_exact
 
 
 class Matrix:
@@ -66,15 +66,6 @@ class Matrix:
 
     def col(self, j):
         return [self.entries[i][j] for i in range(self.nrows)]
-
-    def transpose(self):
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            nrows=self.ncols,
-            ncols=self.nrows,
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-        )
 
     def map(self, fn):
         return Matrix(
@@ -132,10 +123,6 @@ class Matrix:
             "[ " + sep.join(cells[i][j].rjust(widths[j]) for j in range(self.ncols)) + " ]"
             for i in range(self.nrows)
         )
-
-
-def mat_mul(a, b):
-    return a.mul(b)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +216,7 @@ def _row_cleared(row):
 
 
 def _div_ring(a, b):
-    q = _div_exact_any(a, b)
+    q = lp_try_div_exact(a, b)
     if q is None:
         raise VerificationError("fraction-free elimination produced a non-exact division")
     return q
@@ -239,13 +226,12 @@ def _bareiss_echelon(rows, ncols):
     """Fraction-free row echelon form.
 
     rows: list of Laurent-polynomial rows, modified copies returned.
-    Returns (rows, pivots, swaps) where pivots is a list of (row, col)
-    in increasing order and swaps the number of row exchanges.
+    Returns (rows, pivots) where pivots is a list of (row, col) in
+    increasing order.
     """
     rows = [list(r) for r in rows]
     nrows = len(rows)
     pivots = []
-    swaps = 0
     prev = ONE
     r = 0
     for c in range(ncols):
@@ -258,7 +244,6 @@ def _bareiss_echelon(rows, ncols):
             continue
         if p != r:
             rows[p], rows[r] = rows[r], rows[p]
-            swaps += 1
         piv = rows[r][c]
         for i in range(r + 1, nrows):
             if not any(rows[i][j] for j in range(c, ncols)):
@@ -272,17 +257,13 @@ def _bareiss_echelon(rows, ncols):
         r += 1
         if r == nrows:
             break
-    return rows, pivots, swaps
-
-
-def _echelon_of(a):
-    rows = [_row_cleared(a.row(i)) for i in range(a.nrows)]
-    return _bareiss_echelon(rows, a.ncols)
+    return rows, pivots
 
 
 def field_rank(a):
     """Exact rank over Q(x, y)."""
-    _, pivots, _ = _echelon_of(a)
+    rows = [_row_cleared(a.row(i)) for i in range(a.nrows)]
+    _, pivots = _bareiss_echelon(rows, a.ncols)
     return len(pivots)
 
 
@@ -331,7 +312,7 @@ def field_kernel_raw(a):
     """Right kernel basis in fraction-free form: a list of (numerators, den)
     pairs, each describing the vector numerators/den with ring entries."""
     cleared = [_row_cleared(a.row(i)) for i in range(a.nrows)]
-    rows, pivots, _ = _bareiss_echelon(cleared, a.ncols)
+    rows, pivots = _bareiss_echelon(cleared, a.ncols)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for f in range(a.ncols):
@@ -356,7 +337,7 @@ def field_solve(a, b):
     if len(b) != a.nrows:
         raise ValueError("dimension mismatch")
     cleared = [_row_cleared(a.row(i) + [b[i]]) for i in range(a.nrows)]
-    rows, pivots, _ = _bareiss_echelon([list(r) for r in cleared], a.ncols + 1)
+    rows, pivots = _bareiss_echelon(cleared, a.ncols + 1)
     if any(c == a.ncols for _, c in pivots):
         return None
     num, den = _back_substitute(rows, pivots, a.ncols + 1, {a.ncols: -ONE})
@@ -379,28 +360,6 @@ def field_inv(a):
         cols.append(x)
     return Matrix([[cols[j][i] for j in range(n)] for i in range(n)],
                   row_labels=a.col_labels, col_labels=a.row_labels)
-
-
-def field_det(a):
-    """Determinant over Q(x, y)."""
-    if a.nrows != a.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    if a.nrows == 0:
-        return _as_rf(1)
-    rows = [_row_cleared(a.row(i)) for i in range(a.nrows)]
-    scale = RationalFunction(ONE)
-    for i in range(a.nrows):
-        den = ONE
-        for e in a.row(i):
-            den = den * _as_rf(e).den
-        scale = scale / RationalFunction(den)
-    rows, pivots, swaps = _bareiss_echelon(rows, a.ncols)
-    if len(pivots) < a.nrows:
-        return RationalFunction(ZERO)
-    det = RationalFunction(rows[a.nrows - 1][a.ncols - 1])
-    if swaps % 2:
-        det = -det
-    return det * scale
 
 
 # ---------------------------------------------------------------------------

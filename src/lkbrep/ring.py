@@ -24,11 +24,6 @@ class VerificationError(RuntimeError):
     """A structural identity the computation relies on failed to hold."""
 
 
-class UnsupportedDivisorError(ValueError):
-    """Exact division was asked for a divisor it cannot handle (cleared
-    leading coefficient not +-1).  Distinct from "not divisible"."""
-
-
 def _order_key(exps):
     # graded lex, x before y; total degree first, then x-exponent
     return (exps[0] + exps[1], exps[0])
@@ -54,9 +49,6 @@ class LaurentPolynomial:
     @classmethod
     def monomial(cls, coeff, ex, ey):
         return cls({(ex, ey): int(coeff)})
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -226,94 +218,46 @@ X = LaurentPolynomial({(1, 0): 1})
 Y = LaurentPolynomial({(0, 1): 1})
 
 
-def lp_add(f, g):
-    return f + g
+def lp_try_div_exact(f, g):
+    """Exact quotient f/g in Z[x^+-1, y^+-1], or None when g does not
+    divide f; g may be any nonzero Laurent polynomial.
 
-
-def lp_mul(f, g):
-    return f * g
-
-
-def _poly_div(f, g, rational):
-    """Long division of cleared polynomials by decreasing leading term.
-
-    Requires f, g with nonnegative exponents and g != 0.  Returns the exact
-    quotient or None.  With rational=False the leading coefficient of g must
-    be +-1 and all arithmetic stays in Z; with rational=True coefficients are
-    Fractions and the quotient is returned only if it is integral.
+    Both operands are cleared to genuine polynomials (monomials are units)
+    and long-divided over Z by decreasing leading term.  If g divides f,
+    every leading-term quotient is an integer, so a nonzero remainder in
+    that step, or a leading term of f not divisible by g's, proves that g
+    does not divide f.  A quotient is returned only once q * g = f holds.
     """
-    ge, gc = g.leading_term()
-    q = {}
-    rem = {e: (Fraction(c) if rational else c) for e, c in f.terms.items()}
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not f:
+        return ZERO
+    fm = f.min_exponents()
+    gm = g.min_exponents()
+    g0 = g.shifted(-gm[0], -gm[1])
+    ge, gc = g0.leading_term()
+    rem = dict(f.shifted(-fm[0], -fm[1]).terms)
+    q0 = {}
     while rem:
         fe = max(rem, key=_order_key)
         de = (fe[0] - ge[0], fe[1] - ge[1])
         if de[0] < 0 or de[1] < 0:
             return None
-        qc = rem[fe] / gc if rational else rem[fe] * gc  # gc = +-1 in the integer branch
-        q[de] = qc
-        for (bx, by), bc in g.terms.items():
+        qc, r = divmod(rem[fe], gc)
+        if r:
+            return None
+        q0[de] = qc
+        for (bx, by), bc in g0.terms.items():
             e = (de[0] + bx, de[1] + by)
             s = rem.get(e, 0) - qc * bc
             if s:
                 rem[e] = s
             elif e in rem:
                 del rem[e]
-    if rational:
-        if any(c.denominator != 1 for c in q.values()):
-            return None
-        q = {e: int(c) for e, c in q.items()}
-    return LaurentPolynomial(q)
-
-
-def _div_exact_any(f, g):
-    """Quotient f/g in Z[x^+-1, y^+-1] for any nonzero g, or None.
-
-    Works by clearing each operand to a genuine polynomial (monomials are
-    units) and long-dividing with rational coefficients, then checking
-    integrality.
-    """
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not f:
-        return ZERO
-    fm = f.min_exponents()
-    gm = g.min_exponents()
-    q0 = _poly_div(f.shifted(-fm[0], -fm[1]), g.shifted(-gm[0], -gm[1]), rational=True)
-    if q0 is None:
-        return None
-    q = q0.shifted(fm[0] - gm[0], fm[1] - gm[1])
+    q = LaurentPolynomial(q0).shifted(fm[0] - gm[0], fm[1] - gm[1])
     if q * g != f:
         raise VerificationError("exact division verification failed")
     return q
-
-
-def lp_try_div_exact(f, g):
-    """Exact quotient f/g, or None when g does not divide f.
-
-    g must be nonzero with cleared leading coefficient +-1 (which is the
-    case for every divisor this library needs: monomials, x-1, y-1, xy+1
-    and their products); anything else raises UnsupportedDivisorError.
-    """
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if abs(g.leading_term()[1]) != 1:
-        raise UnsupportedDivisorError(f"leading coefficient of divisor {g} is not a unit")
-    if not f:
-        return ZERO
-    fm = f.min_exponents()
-    gm = g.min_exponents()
-    q0 = _poly_div(f.shifted(-fm[0], -fm[1]), g.shifted(-gm[0], -gm[1]), rational=False)
-    if q0 is None:
-        return None
-    q = q0.shifted(fm[0] - gm[0], fm[1] - gm[1])
-    if q * g != f:
-        raise VerificationError("exact division verification failed")
-    return q
-
-
-def lp_eval(f, x0, y0):
-    return f.evaluate(x0, y0)
 
 
 class RationalFunction:
@@ -347,9 +291,6 @@ class RationalFunction:
             den = -den
         self.num = num
         self.den = den
-
-    def is_zero(self):
-        return not self.num
 
     def __bool__(self):
         return bool(self.num)
@@ -437,31 +378,7 @@ def _as_rf(v):
     return None
 
 
-RF_ZERO = RationalFunction(ZERO)
-RF_ONE = RationalFunction(ONE)
-
-
-def rf_arith(a, b, op):
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def rf_eq(a, b):
-    return _as_rf(a) == _as_rf(b)
-
-
 def rf_is_laurent(a):
     """The Laurent polynomial equal to a, or None if a lies outside the ring."""
     a = _as_rf(a)
-    if not a.num:
-        return ZERO
-    if abs(a.den.leading_term()[1]) == 1:
-        return lp_try_div_exact(a.num, a.den)
-    return _div_exact_any(a.num, a.den)
+    return lp_try_div_exact(a.num, a.den)

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from lkbrep.action import (
     BraidWord,
+    ChainEndo,
     chain_action,
     check_braid_relations,
     eigen_structure_check,
@@ -12,7 +14,6 @@ from lkbrep.action import (
     fork_in_e_basis,
     h1_action,
     homology_action,
-    lkb_determinant_is_unit,
     lkb_generator,
     lkb_generator_inverse,
     lkb_word,
@@ -33,7 +34,7 @@ from lkbrep.complexes import (
 )
 from lkbrep import action
 from lkbrep.homology import e_basis, v_membership
-from lkbrep.linalg import Matrix, VerificationError, field_inv, field_rank, mat_mul
+from lkbrep.linalg import Matrix, VerificationError, field_inv, field_rank
 from lkbrep.ring import RationalFunction, rf_is_laurent, ONE, X, Y, ZERO
 
 
@@ -74,7 +75,7 @@ def test_lkb_word():
 def test_generator_inverses_are_integral(n):
     for k in range(1, n):
         gi = lkb_generator_inverse(k, n)
-        assert mat_mul(lkb_generator(k, n), gi) == Matrix.identity(n * (n - 1) // 2, ONE)
+        assert lkb_generator(k, n).mul(gi) == Matrix.identity(n * (n - 1) // 2, ONE)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -147,16 +148,31 @@ def test_homology_action_examples():
 
 def test_h1_action():
     rep = h1_action(1, 3)
-    assert rep["is_transposition"]
     m = rep["matrix"]
     assert m.col(2) == [0, 0, 1, 0]  # a3 fixed
     assert m.col(3) == [0, 0, 0, 1]  # c1 fixed
     assert m.col(0) == [0, 1, 0, 0]  # a1 -> a2
-    sq = mat_mul(m, m)
+    sq = m.mul(m)
     assert sq == Matrix.identity(4)
     for n in (2, 3, 4):
         for k in range(1, n):
-            assert h1_action(k, n)["is_transposition"]
+            swap = {k - 1: k, k: k - 1}
+            want = [[1 if i == swap.get(j, j) else 0 for j in range(n + 1)]
+                    for i in range(n + 1)]
+            assert h1_action(k, n)["matrix"].entries == want
+
+
+def test_h1_action_rejects_a_non_transposition(monkeypatch, capsys):
+    # every edge sent to itself specializes to the identity, not the swap
+    endo = chain_action(1, 3)
+    fixed = ChainEndo(1, 3, {e: Chain(1, {e: ONE}) for e in endo.c1_cols}, endo.c2_cols)
+    monkeypatch.setattr(action, "chain_action", lambda k, n: fixed)
+    with pytest.raises(VerificationError, match="swap"):
+        h1_action(1, 3)
+    from lkbrep.cli import main
+
+    assert main(["action", "--n", "3", "--k", "1"]) == 1
+    assert "verification failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -248,33 +264,80 @@ def test_fork_basis_action_matches_rational_conjugation(n):
     labels = [f"X({p},{q})" for p, q in pair_list(n)]
     for k in range(1, n):
         m = homology_action(k, n)
-        prod = mat_mul(mat_mul(cbi, m.map(RationalFunction)), cb.map(RationalFunction))
+        prod = cbi.mul(m.map(RationalFunction)).mul(cb.map(RationalFunction))
         got = fork_basis_action(k, n)
         assert got.entries == prod.map(rf_is_laurent).entries
         assert got.row_labels == got.col_labels == labels
 
 
+LEVELS = {"matrix": lkb_generator, "homology": homology_action, "fork": fork_basis_action}
+
+
 @pytest.mark.parametrize("level", ["matrix", "homology", "fork"])
 @pytest.mark.parametrize("n", range(2, 7))
 def test_braid_relations_levels(n, level):
-    assert all(r["passed"] for r in check_braid_relations(n, level))
+    gens = [LEVELS[level](k, n) for k in range(1, n)]
+    assert all(r["passed"] for r in check_braid_relations(gens))
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_braid_relations_chain_level(n):
-    assert all(r["passed"] for r in check_braid_relations(n, "chain"))
+    # the complex has no 3-cells, so degree-2 homology is the cycle module
+    # itself and the relations must hold exactly on the E cycles as chains
+    def image(ks, u):
+        for k in reversed(ks):
+            u = chain_action(k, n).apply_c2(u)
+        return u
+
+    for u in e_basis(n).values():
+        for k in range(1, n - 1):
+            assert image((k, k + 1, k), u) == image((k + 1, k, k + 1), u)
+            for l in range(k + 2, n):
+                assert image((k, l), u) == image((l, k), u)
 
 
 def test_far_commutation_n5_matrix():
-    rep = check_braid_relations(5, "matrix")
+    rep = check_braid_relations([lkb_generator(k, 5) for k in range(1, 5)])
     far = [r for r in rep if r["relation"] == "commute(1,4)"]
     assert far and far[0]["passed"]
 
 
+def test_braid_relations_report_a_failure():
+    a = Matrix([[1, 1], [0, 1]])
+    two = Matrix([[2, 0], [0, 2]])
+    rep = check_braid_relations([a, two, a])
+    assert [(r["relation"], r["passed"]) for r in rep] == [
+        ("braid(1,2)", False), ("braid(2,3)", False), ("commute(1,3)", True)]
+
+
+def _det(rows):
+    """Determinant of a square matrix of Fractions by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[p], rows[c] = rows[c], rows[p]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            for j in range(c, len(rows)):
+                rows[i][j] -= f * rows[c][j]
+    return det
+
+
 @pytest.mark.parametrize("n", range(2, 5))
 def test_determinant_is_unit(n):
+    # eigenvalue -x^2 y once, -x with multiplicity n-2, 1 on the rest, so the
+    # determinant is the unit (-1)^(n-1) x^n y; compared at two points
     for k in range(1, n):
-        assert lkb_determinant_is_unit(k, n)
+        g = lkb_generator(k, n)
+        for x0, y0 in ((Fraction(2), Fraction(3)), (Fraction(-5, 7), Fraction(11, 3))):
+            assert _det([[e.evaluate(x0, y0) for e in row] for row in g.entries]) == \
+                (-1) ** (n - 1) * x0 ** n * y0
 
 
 def test_specialized_action_matches_h1_permutation():

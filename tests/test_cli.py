@@ -144,6 +144,28 @@ def test_out_file(tmp_path, capsys):
     assert obj["entries"][0][0] == {"terms": [[2, 1, "-1"]]}
 
 
+def test_out_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "rep", "--n", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3"],
+    ["rep", "--seed", "1"],
+    ["homology", "--max-n", "3"],
+    ["arrangement", "--input", "x.json", "--max-n", "3"],
+    ["verify", "--max-n", "1"],
+])
+def test_options_belong_to_the_commands_that_read_them(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_complex_and_fork_and_action_commands(capsys):
     code, out, _ = run(capsys, "complex", "--n", "2")
     assert code == 0 and "2-cells 7" in out

@@ -127,13 +127,6 @@ def test_untwist_columns():
     assert m[(m.row_labels.index(edge_c(2)), jb12)] == 1
 
 
-def test_degree1_differential_is_zero():
-    tc = sal_fn(3)
-    d1 = tc.degree1_differential_matrix()
-    assert d1.nrows == 1 and d1.ncols == 10
-    assert all(not e for row in d1.entries for e in row)
-
-
 def test_basis_order():
     assert edge_basis(2) == [("c", 1), ("c", 2), ("c", 3),
                              ("a", 1), ("a", 2), ("b", 1), ("b", 2)]

@@ -5,7 +5,6 @@ import pytest
 
 from lkbrep.linalg import (
     Matrix,
-    field_det,
     field_inv,
     field_kernel,
     field_rank,
@@ -13,7 +12,6 @@ from lkbrep.linalg import (
     int_smith,
     int_smith_transforms,
     int_solve,
-    mat_mul,
     rank_mod_p,
     ring_triangular_inverse,
     RANK_POINTS,
@@ -32,12 +30,12 @@ def lp_matrix(rows):
 def test_mat_mul_examples():
     a = lp_matrix([[X, 1], [0, Y]])
     ident = Matrix.identity(2, ONE)
-    assert mat_mul(a, ident) == a
-    assert mat_mul(Matrix([[X]]), Matrix([[Y]])) == Matrix([[X * Y]])
+    assert a.mul(ident) == a
+    assert Matrix([[X]]).mul(Matrix([[Y]])) == Matrix([[X * Y]])
     p = lp_matrix([[0, 1], [1, 0]])
-    assert mat_mul(p, p) == ident
+    assert p.mul(p) == ident
     with pytest.raises(ValueError):
-        mat_mul(a, Matrix([[ONE]]))
+        a.mul(Matrix([[ONE]]))
 
 
 def test_field_kernel_examples():
@@ -97,8 +95,8 @@ def test_rank_mod_p_is_a_lower_bound_on_field_rank():
 def test_ring_triangular_inverse():
     a = lp_matrix([[X, 1 - X, Y], [0, -Y, X * X], [0, 0, 1]])
     inv = ring_triangular_inverse(a)
-    assert mat_mul(a, inv) == Matrix.identity(3, ONE)
-    assert mat_mul(inv, a) == Matrix.identity(3, ONE)
+    assert a.mul(inv) == Matrix.identity(3, ONE)
+    assert inv.mul(a) == Matrix.identity(3, ONE)
     with pytest.raises(VerificationError, match="unit"):
         ring_triangular_inverse(lp_matrix([[X + 1, 0], [0, 1]]))
     with pytest.raises(VerificationError, match=r"a \* a\^-1"):
@@ -117,11 +115,10 @@ def test_field_solve_examples():
 def test_field_inv_and_det():
     a = lp_matrix([[X, 1], [0, Y]])
     ainv = field_inv(a)
-    prod = mat_mul(a.map(RF), ainv)
+    prod = a.map(RF).mul(ainv)
     assert prod == Matrix.identity(2, RF(1))
-    assert field_det(a) == RF(X * Y)
-    assert field_det(lp_matrix([[X, X], [1, 1]])) == RF(0)
-    assert field_det(lp_matrix([[0, 1], [1, 0]])) == RF(-1)
+    with pytest.raises(VerificationError, match="singular"):
+        field_inv(lp_matrix([[X, X], [1, 1]]))
 
 
 def naive_row_col_reduce(entries):
@@ -189,7 +186,7 @@ def test_int_smith_randomized():
         n = rng.randint(1, 6)
         a = Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
         d, u, v = int_smith_transforms(a)
-        assert mat_mul(mat_mul(u, a), v) == d
+        assert u.mul(a).mul(v) == d
         factors, rank = int_smith(a)
         assert factors == naive_row_col_reduce(a.entries)
         for i in range(rank - 1):

@@ -3,11 +3,20 @@ complexes.
 
 All geometry is done with rational arithmetic: every facet (vertex, open
 edge, open chamber) stores an exact representative point and its sign
-vector, one entry per line in {-1, 0, +1}.  A facet F lies in the closure
-of G exactly when the sign vector of F agrees with that of G wherever it
-is nonzero, which is the only order relation the complex construction
-needs.  Chambers of a line arrangement are convex, so the angle of
-(representative - vertex) orders the chambers around a vertex correctly.
+vector, one entry per line in {-1, 0, +1}.  Sign vectors name facets
+uniquely, and three rules on them give every incidence the Salvetti complex
+needs, so facets are found by lookup, never by search:
+
+- the chamber on either side of an edge-facet differs from the edge only
+  at the carrier line, where it has the side's sign;
+- the wall between two adjacent chambers keeps their common signs and has
+  0 where they differ;
+- around a vertex the edge-facets lie on rays out of it, and the chamber
+  between two consecutive rays carries the nonzero signs of both.
+
+Geometry enters only to place representatives and to sort the rays around
+a vertex counterclockwise.  Each chamber representative is checked against
+its derived sign vector, and the chamber count against Zaslavsky's formula.
 
 The Salvetti complex has one vertex per chamber, two opposite directed
 edges per edge-facet, and one 2-cell per (vertex-facet, incident chamber)
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from itertools import combinations
 from math import gcd
 
 from .complexes import CellComplex, TwistedComplex, word_to_chain
@@ -105,14 +114,18 @@ class FacetComplex:
     chambers: tuple
 
 
-def sign_leq(sf, sg):
-    """Closure order from sign vectors: F below G when F's nonzero signs
-    all agree with G's."""
-    return all(f == 0 or f == g for f, g in zip(sf, sg))
-
-
 def _sign_vector(lines, pt):
     return tuple(l.side(pt) for l in lines)
+
+
+def _with_sign(sign, k, s):
+    return sign[:k] + (s,) + sign[k + 1:]
+
+
+def _lookup(index, sign, message):
+    if sign not in index:
+        raise VerificationError(message)
+    return index[sign]
 
 
 def build_facets(lines):
@@ -122,35 +135,24 @@ def build_facets(lines):
     if len(set(lines)) != len(lines):
         raise ValueError("duplicate lines in arrangement")
 
-    points = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            pt = intersect(lines[i], lines[j])
-            if pt is not None:
-                points.setdefault(pt, set()).update((i, j))
-    vertices = [Vertex(pt, _sign_vector(lines, pt)) for pt in points]
+    points = {intersect(l1, l2) for l1, l2 in combinations(lines, 2)} - {None}
+    vertices = sorted((Vertex(pt, _sign_vector(lines, pt)) for pt in points),
+                      key=lambda v: v.sign)
 
     edges = []
     for li, line in enumerate(lines):
         d = line.direction()
-        p0 = line.base_point()
-        on_line = [v for v in vertices if v.sign[li] == 0]
-        on_line.sort(key=lambda v: (v.point[0] - p0[0]) * d[0] + (v.point[1] - p0[1]) * d[1])
-
-        def rep_between(v1, v2):
-            return (Fraction(v1.point[0] + v2.point[0], 2),
-                    Fraction(v1.point[1] + v2.point[1], 2))
-
+        on_line = [vi for vi, v in enumerate(vertices) if v.sign[li] == 0]
+        on_line.sort(key=lambda vi: vertices[vi].point[0] * d[0] + vertices[vi].point[1] * d[1])
+        pts = [vertices[vi].point for vi in on_line]
         if not on_line:
-            reps = [(p0, ())]
+            reps = [(line.base_point(), ())]
         else:
-            reps = [((on_line[0].point[0] - d[0], on_line[0].point[1] - d[1]),
-                     (vertices.index(on_line[0]),))]
-            for v1, v2 in zip(on_line, on_line[1:]):
-                reps.append((rep_between(v1, v2),
-                             (vertices.index(v1), vertices.index(v2))))
-            reps.append(((on_line[-1].point[0] + d[0], on_line[-1].point[1] + d[1]),
-                         (vertices.index(on_line[-1]),)))
+            reps = [((pts[0][0] - d[0], pts[0][1] - d[1]), (on_line[0],))]
+            for k in range(len(on_line) - 1):
+                reps.append((((pts[k][0] + pts[k + 1][0]) / 2, (pts[k][1] + pts[k + 1][1]) / 2),
+                             tuple(sorted(on_line[k:k + 2]))))
+            reps.append(((pts[-1][0] + d[0], pts[-1][1] + d[1]), (on_line[-1],)))
         for rep, incident in reps:
             sv = _sign_vector(lines, rep)
             if [k for k, s in enumerate(sv) if s == 0] != [li]:
@@ -159,82 +161,63 @@ def build_facets(lines):
         if len(reps) != len(on_line) + 1:
             raise VerificationError("a line does not carry one more edge than it has vertices")
 
-    maxcoef = max((max(abs(l.a), abs(l.b), abs(l.c)) for l in lines), default=1)
-    eps0 = Fraction(1, 4 * (1 + maxcoef) * (1 + len(lines)))
     chambers = {}
-    for e in sorted(edges, key=lambda e: e.sign):
-        normal = (Fraction(lines[e.line].a), Fraction(lines[e.line].b))
-        for side in (1, -1):
-            eps = eps0
-            while True:
-                pt = (e.point[0] + side * eps * normal[0], e.point[1] + side * eps * normal[1])
-                sv = _sign_vector(lines, pt)
-                if 0 not in sv:
-                    break
-                eps = eps / 2
-            if sv not in chambers:
-                chambers[sv] = Chamber(pt, sv)
+    for e in edges:
+        for side in (-1, 1):
+            sv = _with_sign(e.sign, e.line, side)
+            if sv in chambers:
+                continue
+            # represent it halfway from the edge to the first other line met
+            # along side * normal, or one normal length on when none is met
+            na, nb = side * lines[e.line].a, side * lines[e.line].b
+            hits = [Fraction(l.c - l.a * e.point[0] - l.b * e.point[1], l.a * na + l.b * nb)
+                    for l in lines if l.a * na + l.b * nb != 0]
+            t = min((h for h in hits if h > 0), default=Fraction(2)) / 2
+            pt = (e.point[0] + t * na, e.point[1] + t * nb)
+            if _sign_vector(lines, pt) != sv:
+                raise VerificationError("chamber representative off its derived sign vector")
+            chambers[sv] = Chamber(pt, sv)
     if not lines:
-        sv = ()
-        chambers[sv] = Chamber((Fraction(0), Fraction(0)), sv)
+        chambers[()] = Chamber((Fraction(0), Fraction(0)), ())
+    if len(chambers) != 1 + len(lines) + sum(v.sign.count(0) - 1 for v in vertices):
+        raise VerificationError("chamber count differs from Zaslavsky's formula")
 
-    old_vertices = vertices
-    vertices = sorted(vertices, key=lambda v: v.sign)
-    vmap = {old_vertices.index(v): vertices.index(v) for v in old_vertices}
-    edges = [EdgeFacet(e.line, e.point, e.sign, tuple(sorted(vmap[i] for i in e.vertices)))
-             for e in edges]
     edges.sort(key=lambda e: e.sign)
     chamber_list = sorted(chambers.values(), key=lambda c: c.sign)
     return FacetComplex(lines, tuple(vertices), tuple(edges), tuple(chamber_list))
 
 
-def _ccw_key(center):
-    cx, cy = center
-
-    def cmp(p1, p2):
-        d1 = (p1[0] - cx, p1[1] - cy)
-        d2 = (p2[0] - cx, p2[1] - cy)
-        h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
-        h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        cross = d1[0] * d2[1] - d1[1] * d2[0]
-        if cross == 0:
-            return 0
-        return -1 if cross > 0 else 1
-
-    return cmp
+def _ccw_key(center, p):
+    """Exact sort key for the counterclockwise angle of p - center from the
+    positive x-axis: the half-plane, then minus the cotangent."""
+    dx, dy = p[0] - center[0], p[1] - center[1]
+    return (dy < 0 or (dy == 0 and dx < 0), dy != 0, -dx / dy if dy else 0)
 
 
 def cyclic_order_at_vertex(fc, vidx):
     """Chamber indices around a vertex, counterclockwise, starting at the
-    chamber with the lexicographically smallest sign vector."""
+    chamber with the lexicographically smallest sign vector.  The edge-facets
+    at the vertex lie on rays out of it; sorted counterclockwise, each
+    consecutive pair bounds the chamber that carries the nonzero signs of
+    both."""
     v = fc.vertices[vidx]
-    around = [ci for ci, c in enumerate(fc.chambers) if sign_leq(v.sign, c.sign)]
-    around.sort(key=cmp_to_key(
-        lambda a, b: _ccw_key(v.point)(fc.chambers[a].point, fc.chambers[b].point)))
-    nlines = sum(1 for s in v.sign if s == 0)
-    if len(around) != 2 * nlines:
+    rays = [e for e in fc.edges if vidx in e.vertices]
+    rays.sort(key=lambda e: _ccw_key(v.point, e.point))
+    if len(rays) != 2 * v.sign.count(0):
         raise VerificationError("wrong number of chambers around a vertex")
+    chamber_at = {c.sign: ci for ci, c in enumerate(fc.chambers)}
+    around = []
+    for e1, e2 in zip(rays, rays[1:] + rays[:1]):
+        if any(s1 and s2 and s1 != s2 for s1, s2 in zip(e1.sign, e2.sign)):
+            raise VerificationError("consecutive rays around a vertex disagree in sign")
+        sign = tuple(s1 or s2 for s1, s2 in zip(e1.sign, e2.sign))
+        around.append(_lookup(chamber_at, sign, "no chamber between consecutive rays at a vertex"))
     start = min(range(len(around)), key=lambda i: fc.chambers[around[i]].sign)
     return around[start:] + around[:start]
 
 
 def _edge_label(fidx, cidx):
     return ("s", fidx, cidx)
-
-
-def _wall_between(fc, vidx, c1, c2):
-    """The unique edge-facet through the vertex separating two consecutive
-    chambers around it."""
-    v = fc.vertices[vidx]
-    found = [fi for fi, e in enumerate(fc.edges)
-             if sign_leq(v.sign, e.sign)
-             and sign_leq(e.sign, fc.chambers[c1].sign)
-             and sign_leq(e.sign, fc.chambers[c2].sign)]
-    if len(found) != 1:
-        raise VerificationError("consecutive chambers do not share a unique wall")
-    return found[0]
 
 
 @dataclass(frozen=True)
@@ -259,19 +242,25 @@ def build_salvetti(fc):
     pairs from edge-facets, and one polygonal 2-cell per (vertex, chamber
     above it), with boundary words validated to close up."""
     vertices = [("w", ci) for ci in range(len(fc.chambers))]
+    chamber_at = {c.sign: ci for ci, c in enumerate(fc.chambers)}
+    edge_at = {e.sign: fi for fi, e in enumerate(fc.edges)}
     edges = {}
     edge_facet = {}
     edge_line = {}
     for fi, e in enumerate(fc.edges):
-        adj = [ci for ci, c in enumerate(fc.chambers) if sign_leq(e.sign, c.sign)]
-        if len(adj) != 2:
-            raise VerificationError("edge-facet without exactly two chambers")
-        lo, hi = sorted(adj, key=lambda ci: fc.chambers[ci].sign)
+        lo, hi = (_lookup(chamber_at, _with_sign(e.sign, e.line, side),
+                          "edge-facet without exactly two chambers") for side in (-1, 1))
         edges[_edge_label(fi, lo)] = (("w", lo), ("w", hi))
         edges[_edge_label(fi, hi)] = (("w", hi), ("w", lo))
         for ci in (lo, hi):
             edge_facet[_edge_label(fi, ci)] = fi
             edge_line[_edge_label(fi, ci)] = e.line
+
+    def wall(c1, c2):
+        sign = tuple(s1 if s1 == s2 else 0
+                     for s1, s2 in zip(fc.chambers[c1].sign, fc.chambers[c2].sign))
+        return _lookup(edge_at, sign, "consecutive chambers do not share a unique wall")
+
     cells = {}
     for vidx in range(len(fc.vertices)):
         cyc = cyclic_order_at_vertex(fc, vidx)
@@ -279,17 +268,10 @@ def build_salvetti(fc):
         s = m // 2
         for start_pos in range(m):
             rot = cyc[start_pos:] + cyc[:start_pos]
-            word = []
-            for i in range(1, s + 1):
-                wall = _wall_between(fc, vidx, rot[i - 1], rot[i])
-                word.append((_edge_label(wall, rot[i - 1]), 1))
-            back = []
-            for i in range(1, s + 1):
-                d_prev = rot[-(i - 1)] if i > 1 else rot[0]
-                d_cur = rot[-i]
-                wall = _wall_between(fc, vidx, d_prev, d_cur)
-                back.append((_edge_label(wall, d_prev), -1))
-            word.extend(reversed(back))
+            word = [(_edge_label(wall(rot[i - 1], rot[i]), rot[i - 1]), 1)
+                    for i in range(1, s + 1)]
+            word += [(_edge_label(wall(rot[1 - i], rot[-i]), rot[1 - i]), -1)
+                     for i in range(s, 0, -1)]
             cells[("A", vidx, rot[0])] = word
     cx = CellComplex(vertices, edges, cells)
     cx.validate()
@@ -298,7 +280,7 @@ def build_salvetti(fc):
         raise VerificationError("Salvetti vertex count differs from the chamber count")
     if ne != 2 * len(fc.edges):
         raise VerificationError("Salvetti edge count differs from twice the edge-facet count")
-    if nc != sum(len(cyclic_order_at_vertex(fc, v)) for v in range(len(fc.vertices))):
+    if nc != sum(2 * v.sign.count(0) for v in fc.vertices):
         raise VerificationError("Salvetti 2-cell count differs from the vertex-chamber incidences")
     return SalvettiComplex(fc, cx, edge_facet, edge_line)
 
@@ -310,7 +292,6 @@ def _loop_chains(cx):
     es = sorted(cx.edges)
     eidx = {e: i for i, e in enumerate(es)}
     parent = {vs[0]: None}
-    order = [vs[0]]
     frontier = [vs[0]]
     while frontier:
         nxt = []
@@ -320,11 +301,9 @@ def _loop_chains(cx):
                 if src == v and tgt not in parent:
                     parent[tgt] = (e, 1, v)
                     nxt.append(tgt)
-                    order.append(tgt)
                 elif tgt == v and src not in parent:
                     parent[src] = (e, -1, v)
                     nxt.append(src)
-                    order.append(src)
         frontier = nxt
     if len(parent) != len(vs):
         raise VerificationError("Salvetti complex is not connected")
@@ -354,12 +333,14 @@ def salvetti_h1(sc):
     """First homology of the Salvetti complex via Smith normal form, with a
     per-edge-facet report of whether the two opposite directed edges give
     the same homology class."""
-    d1, d2 = sc.complex.boundary_matrices()
-    _, rank1 = int_smith(d1)
-    factors2, rank2 = int_smith(d2)
-    rank = d1.ncols - rank1 - rank2
-    torsion = [f for f in factors2 if f != 1]
+    # d1 has rank #vertices - 1: the spanning tree _loop_chains builds (or
+    # raises without) gives that many independent columns, and every column
+    # sums to zero
     es, loops = _loop_chains(sc.complex)
+    d1, d2 = sc.complex.boundary_matrices()
+    factors2, rank2 = int_smith(d2)
+    rank = d1.ncols - (len(sc.complex.vertices) - 1) - rank2
+    torsion = [f for f in factors2 if f != 1]
     by_facet = {}
     for e in es:
         by_facet.setdefault(sc.edge_facet[e], []).append(e)

@@ -241,9 +241,6 @@ def test_fork_change_of_basis_is_triangular():
     pairs = pair_list(n)
     for a, p in enumerate(pairs):
         assert cb.entries[a][a] == X ** (p[1] - 1)
-        for b in range(a):
-            # lexicographic order puts every (p, k<q) strictly earlier
-            pass
     for a in range(len(pairs)):
         for b in range(len(pairs)):
             if a > b:

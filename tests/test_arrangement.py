@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from lkbrep import arrangement
 from lkbrep.arrangement import (
     Line,
     build_facets,
@@ -12,10 +14,9 @@ from lkbrep.arrangement import (
     load_arrangement,
     salvetti_h1,
     salvetti_twisted_complex,
-    sign_leq,
 )
 from lkbrep.linalg import field_kernel
-from lkbrep.ring import LaurentPolynomial as LP, RationalFunction as RF, X
+from lkbrep.ring import LaurentPolynomial as LP, RationalFunction as RF, VerificationError, X
 
 
 def lines_a2():
@@ -50,6 +51,9 @@ def test_two_crossing_lines():
     assert len(fc.edges) == 4
     assert len(fc.chambers) == 4
     assert cyclic_order_at_vertex(fc, 0) and len(cyclic_order_at_vertex(fc, 0)) == 4
+    # quadrants counterclockwise from the smallest sign vector (-1, -1)
+    assert [c.sign for c in fc.chambers] == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    assert cyclic_order_at_vertex(fc, 0) == [0, 2, 3, 1]
 
 
 def test_a2_facets_against_brute_force():
@@ -85,9 +89,91 @@ def test_a2_cyclic_orders():
     assert lengths[(Fraction(2), Fraction(1))] == 4
 
 
+def test_close_lines_give_seven_chambers():
+    # three lines whose 3 crossings lie close together, so the triangle
+    # between them is a thin chamber
+    lines = [Line.from_rationals(1, -11, -12), Line.from_rationals(26, -32, 37),
+             Line.from_rationals(31, -36, 47)]
+    fc = build_facets(lines)
+    assert (len(fc.vertices), len(fc.edges), len(fc.chambers)) == (3, 9, 7)
+    for c in fc.chambers:
+        assert tuple(l.side(c.point) for l in fc.lines) == c.sign
+
+
+def zaslavsky_counts(coeffs):
+    """Chambers, edge-facets and vertex-chamber incidences of the arrangement
+    a*x + b*y = c over (a, b, c) in coeffs, from its crossings alone."""
+    through = {}
+    for i, (a1, b1, c1) in enumerate(coeffs):
+        for a2, b2, c2 in coeffs[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if det:
+                pt = (Fraction(c1 * b2 - c2 * b1, det), Fraction(a1 * c2 - a2 * c1, det))
+                through.setdefault(pt, set()).update(((a1, b1, c1), (a2, b2, c2)))
+    chambers = 1 + len(coeffs) + sum(len(ls) - 1 for ls in through.values())
+    edges = len(coeffs) + sum(len(ls) for ls in through.values())
+    incidences = sum(2 * len(ls) for ls in through.values())
+    return chambers, edges, incidences
+
+
+def test_wide_coefficients_match_zaslavsky():
+    rng = random.Random(2024)
+    h1_checked = 0
+    for _ in range(40):
+        lines = set()
+        target = rng.randint(3, 7)
+        while len(lines) < target:
+            a, b, c = (rng.randint(-50, 50) for _ in range(3))
+            if a or b:
+                lines.add(Line.from_rationals(a, b, c))
+        lines = sorted(lines)
+        chambers, edges, incidences = zaslavsky_counts([(l.a, l.b, l.c) for l in lines])
+        fc = build_facets(lines)
+        assert (len(fc.chambers), len(fc.edges)) == (chambers, edges)
+        for facets in (fc.vertices, fc.edges, fc.chambers):
+            assert [f.sign for f in facets] == sorted(f.sign for f in facets)
+        for e in fc.edges:
+            assert list(e.vertices) == sorted(e.vertices)
+            assert all(fc.vertices[vi].sign[e.line] == 0 for vi in e.vertices)
+        sc = build_salvetti(fc)
+        assert sc.counts() == (chambers, 2 * edges, incidences)
+        if len(lines) <= 4 and h1_checked < 5:
+            h1_checked += 1
+            rank, torsion, _ = salvetti_h1(sc)
+            assert (rank, torsion) == (len(lines), [])
+    assert h1_checked == 5
+
+
+def test_missing_facets_raise_verification_errors(monkeypatch):
+    fc = build_facets(lines_a2())
+    for ci in range(len(fc.chambers)):
+        cut = dataclasses.replace(fc, chambers=fc.chambers[:ci] + fc.chambers[ci + 1:])
+        with pytest.raises(VerificationError, match="edge-facet without exactly two chambers"):
+            build_salvetti(cut)
+        with pytest.raises(VerificationError):
+            for vi in range(len(cut.vertices)):
+                cyclic_order_at_vertex(cut, vi)
+    for fi in range(len(fc.edges)):
+        cut = dataclasses.replace(fc, edges=fc.edges[:fi] + fc.edges[fi + 1:])
+        with pytest.raises(VerificationError):
+            build_salvetti(cut)
+    # two chambers that are not neighbours around a vertex share no wall
+    order = arrangement.cyclic_order_at_vertex
+    monkeypatch.setattr(arrangement, "cyclic_order_at_vertex",
+                        lambda fc, vi: order(fc, vi)[::2] + order(fc, vi)[1::2])
+    with pytest.raises(VerificationError, match="consecutive chambers do not share a unique wall"):
+        build_salvetti(fc)
+
+
 def test_duplicate_lines_rejected():
     with pytest.raises(ValueError):
         build_facets([Line.from_rationals(1, 0, 0), Line.from_rationals(2, 0, 0)])
+
+
+def sign_leq(sf, sg):
+    """Closure order from sign vectors: F below G when F's nonzero signs
+    all agree with G's."""
+    return all(f == 0 or f == g for f, g in zip(sf, sg))
 
 
 def test_sign_order_matches_geometric_closure():

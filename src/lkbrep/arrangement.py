@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .complexes import CellComplex, TwistedComplex, word_to_chain
-from .linalg import int_smith, int_solve
+from .linalg import int_smith_solver
 from .ring import LaurentPolynomial, VerificationError
 
 
@@ -114,8 +114,18 @@ class FacetComplex:
     chambers: tuple
 
 
+def _cleared(pt):
+    """(p, q, r) with pt = (p/r, q/r) and r > 0 the least common denominator."""
+    x, y = pt
+    r = lcm(x.denominator, y.denominator)
+    return x.numerator * (r // x.denominator), y.numerator * (r // y.denominator), r
+
+
 def _sign_vector(lines, pt):
-    return tuple(l.side(pt) for l in lines)
+    """Line.side of every line at pt = (p/r, q/r): with r > 0, a*x + b*y - c
+    has the sign of the integer a*p + b*q - c*r."""
+    p, q, r = _cleared(pt)
+    return tuple((v > 0) - (v < 0) for v in (l.a * p + l.b * q - l.c * r for l in lines))
 
 
 def _with_sign(sign, k, s):
@@ -170,7 +180,8 @@ def build_facets(lines):
             # represent it halfway from the edge to the first other line met
             # along side * normal, or one normal length on when none is met
             na, nb = side * lines[e.line].a, side * lines[e.line].b
-            hits = [Fraction(l.c - l.a * e.point[0] - l.b * e.point[1], l.a * na + l.b * nb)
+            p, q, r = _cleared(e.point)
+            hits = [Fraction(l.c * r - l.a * p - l.b * q, (l.a * na + l.b * nb) * r)
                     for l in lines if l.a * na + l.b * nb != 0]
             t = min((h for h in hits if h > 0), default=Fraction(2)) / 2
             pt = (e.point[0] + t * na, e.point[1] + t * nb)
@@ -330,16 +341,19 @@ def _loop_chains(cx):
 
 
 def salvetti_h1(sc):
-    """First homology of the Salvetti complex via Smith normal form, with a
-    per-edge-facet report of whether the two opposite directed edges give
-    the same homology class."""
+    """First homology of the Salvetti complex, with a per-edge-facet report
+    of whether the two opposite directed edges give the same homology
+    class.  d2 is put in Smith normal form once: its invariant factors give
+    the rank and torsion, and each edge-facet's loop difference is solved
+    against the same decomposition."""
     # d1 has rank #vertices - 1: the spanning tree _loop_chains builds (or
     # raises without) gives that many independent columns, and every column
     # sums to zero
     es, loops = _loop_chains(sc.complex)
     d1, d2 = sc.complex.boundary_matrices()
-    factors2, rank2 = int_smith(d2)
-    rank = d1.ncols - (len(sc.complex.vertices) - 1) - rank2
+    smith = int_smith_solver(d2)
+    factors2 = smith.factors
+    rank = d1.ncols - (len(sc.complex.vertices) - 1) - len(factors2)
     torsion = [f for f in factors2 if f != 1]
     by_facet = {}
     for e in es:
@@ -348,7 +362,7 @@ def salvetti_h1(sc):
     for fi, pair in sorted(by_facet.items()):
         e1, e2 = pair
         diff = [a - b for a, b in zip(loops[e1], loops[e2])]
-        relations[fi] = int_solve(d2, diff) is not None
+        relations[fi] = smith.solve(diff) is not None
     return rank, torsion, relations
 
 

@@ -26,8 +26,7 @@ from .linalg import (
     RANK_POINTS,
     VerificationError,
     field_kernel_raw,
-    int_smith,
-    int_solve,
+    int_smith_solver,
     rank_mod_p,
 )
 from .ring import (
@@ -314,13 +313,16 @@ def reduce_to_integral_basis(u, n):
 def h1_fn(n):
     """Integral first homology of the one-vertex complex: (rank, torsion)
     of the cokernel of the untwisted boundary, plus a report confirming
-    that each c_i - c_1 and b_i - a_i lies in the boundary image."""
+    that each c_i - c_1 and b_i - a_i lies in the boundary image.  The
+    boundary is put in Smith normal form once; every relation is solved
+    against that decomposition."""
     if n < 2:
         raise ValueError("need n >= 2")
     tc = sal_fn(n)
     m = tc.untwist()
-    factors, rank = int_smith(m)
-    h1rank = len(tc.basis1) - rank
+    smith = int_smith_solver(m)
+    factors = smith.factors
+    h1rank = len(tc.basis1) - len(factors)
     torsion = [d for d in factors if d != 1]
     eidx = {e: k for k, e in enumerate(tc.basis1)}
     relations = {}
@@ -328,10 +330,10 @@ def h1_fn(n):
         vec = [0] * len(tc.basis1)
         vec[eidx[edge_c(i)]] = 1
         vec[eidx[edge_c(1)]] = -1
-        relations[f"c{i}-c1"] = int_solve(m, vec) is not None
+        relations[f"c{i}-c1"] = smith.solve(vec) is not None
     for i in range(1, n + 1):
         vec = [0] * len(tc.basis1)
         vec[eidx[edge_b(i)]] = 1
         vec[eidx[edge_a(i)]] = -1
-        relations[f"b{i}-a{i}"] = int_solve(m, vec) is not None
+        relations[f"b{i}-a{i}"] = smith.solve(vec) is not None
     return h1rank, torsion, relations

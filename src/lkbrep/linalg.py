@@ -10,10 +10,15 @@ right, so identical inputs give identical outputs.
 
 The verification path prefers certificates to field elimination: the rank
 modulo a prime at a fixed point bounds the rank over Q(x, y) from below,
-and a ring inverse is accepted once a * a^-1 = I holds exactly.
+and a ring inverse is accepted once a * a^-1 = I holds exactly.  An
+integer matrix is put in Smith normal form once, and every right-hand side
+is solved against that one decomposition; each answer, positive or
+negative, comes with an exact check.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .ring import RationalFunction, VerificationError, ONE, ZERO, _as_rf, lp_try_div_exact
 
@@ -366,9 +371,27 @@ def field_inv(a):
 # integer computations (Smith normal form and lattice membership)
 
 
+def _xgcd(a, b):
+    """(g, s, c) with s*a + c*b = g = gcd(a, b) >= 0."""
+    s0, s1, c0, c1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        c0, c1 = c1, c0 - q * c1
+    return (a, s0, c0) if a >= 0 else (-a, -s0, -c0)
+
+
 def int_smith_transforms(a):
     """Smith normal form with transforms: returns (d, u, v) with
-    u*a*v = d, u and v unimodular, d diagonal with d_i | d_{i+1} >= 0."""
+    u*a*v = d, u and v unimodular, d diagonal with d_i | d_{i+1} >= 0.
+
+    An entry of the pivot's row or column that the pivot divides is
+    eliminated.  Any other entry takes one extended-gcd step on the two
+    rows (or columns), which makes the pivot their gcd and so strictly
+    shrinks it.  There are no chains of Euclid remainder steps, whose
+    quotients multiply into the rest of the matrix and blow up its
+    coefficients."""
     m, n = a.nrows, a.ncols
     d = [list(map(int, a.row(i))) for i in range(m)]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -386,6 +409,22 @@ def int_smith_transforms(a):
         for i in range(n):
             v[i][j] -= q * v[i][k]
 
+    def gcd_rows(t, i):  # unimodular on rows t, i: d[t][t] <- gcd, d[i][t] <- 0
+        g, s, c = _xgcd(d[t][t], d[i][t])
+        p, q = d[t][t] // g, d[i][t] // g
+        for mat in (d, u):
+            rt, ri = mat[t], mat[i]
+            mat[t] = [s * x + c * y for x, y in zip(rt, ri)]
+            mat[i] = [p * y - q * x for x, y in zip(rt, ri)]
+
+    def gcd_cols(t, j):  # unimodular on columns t, j: d[t][t] <- gcd, d[t][j] <- 0
+        g, s, c = _xgcd(d[t][t], d[t][j])
+        p, q = d[t][t] // g, d[t][j] // g
+        for mat in (d, v):
+            for row in mat:
+                x, y = row[t], row[j]
+                row[t], row[j] = s * x + c * y, p * y - q * x
+
     def swap_rows(i, k):
         d[i], d[k] = d[k], d[i]
         u[i], u[k] = u[k], u[i]
@@ -398,12 +437,15 @@ def int_smith_transforms(a):
 
     t = 0
     while t < min(m, n):
-        # deterministic pivot: smallest |entry|, then row, then column
+        # deterministic pivot: smallest |entry|, then row, then column; no
+        # later row can beat a unit
         best = None
         for i in range(t, m):
             for j in range(t, n):
-                if d[i][j] and (best is None or (abs(d[i][j]), i, j) < best):
+                if d[i][j] and (best is None or abs(d[i][j]) < best[0]):
                     best = (abs(d[i][j]), i, j)
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         _, bi, bj = best
@@ -412,32 +454,27 @@ def int_smith_transforms(a):
         if bj != t:
             swap_cols(t, bj)
         while True:
-            # clear the pivot column, Euclid-stepping when remainders appear
-            changed = True
-            while changed:
-                changed = False
-                for i in range(t + 1, m):
-                    if d[i][t]:
-                        q = d[i][t] // d[t][t]
-                        row_op(i, t, q)
-                        if d[i][t]:
-                            swap_rows(t, i)
-                            changed = True
-                for j in range(t + 1, n):
-                    if d[t][j]:
-                        q = d[t][j] // d[t][t]
-                        col_op(j, t, q)
-                        if d[t][j]:
-                            swap_cols(t, j)
-                            changed = True
-            bad = None
+            # clear the pivot column, then the pivot row
             for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % d[t][t]:
+                if d[i][t]:
+                    if d[i][t] % d[t][t]:
+                        gcd_rows(t, i)
+                    else:
+                        row_op(i, t, d[i][t] // d[t][t])
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    if d[t][j] % d[t][t]:
+                        gcd_cols(t, j)
+                    else:
+                        col_op(j, t, d[t][j] // d[t][t])
+            if any(d[i][t] for i in range(t + 1, m)):
+                continue  # a gcd step on the row refilled the column
+            bad = None
+            if abs(d[t][t]) != 1:  # a unit pivot divides every entry
+                for i in range(t + 1, m):
+                    if any(d[i][j] % d[t][t] for j in range(t + 1, n)):
                         bad = i
                         break
-                if bad is not None:
-                    break
             if bad is None:
                 break
             row_op(t, bad, -1)  # pull the offending row in and restart
@@ -449,33 +486,96 @@ def int_smith_transforms(a):
     return dm, Matrix(u, nrows=m, ncols=m), Matrix(v, nrows=n, ncols=n)
 
 
+def _residue(x, d):
+    """x mod d, with modulus 0 meaning x itself (divisibility by 0 is
+    equality with 0)."""
+    return x % d if d else x
+
+
+def _sparse(rows):
+    return [[(j, e) for j, e in enumerate(row) if e] for row in rows]
+
+
+@dataclass(frozen=True)
+class IntSmithSolver:
+    """One Smith decomposition u*a*v = d of an integer matrix a, against
+    which any number of right-hand sides b are solved.
+
+    solve(b) does not trust the decomposition.  A solution x is returned
+    only once a*x = b holds exactly.  None is returned only with a witness:
+    the row w = u_i at the first i where u*b misses the lattice d*Z^n, with
+    w*a = 0 and w*b != 0 modulo d_i (modulus 0 meaning exactly), which no
+    integer x with a*x = b allows."""
+
+    a: Matrix
+    d: Matrix
+    u: Matrix
+    v: Matrix
+
+    def __post_init__(self):
+        m, n = self.a.nrows, self.a.ncols
+        diag = [self.d.entries[i][i] if i < min(m, n) else 0 for i in range(m)]
+        # sparse views, so that u*b, v*y and the checks against a touch only
+        # nonzero entries: right-hand sides have a few nonzero entries each
+        object.__setattr__(self, "_diag", diag)
+        object.__setattr__(self, "_a_rows", _sparse(self.a.entries))
+        object.__setattr__(self, "_u_cols", _sparse(zip(*self.u.entries)))
+        object.__setattr__(self, "_v_cols", _sparse(zip(*self.v.entries)))
+
+    @property
+    def factors(self):
+        """The invariant factors d_1 | d_2 | ..., one per unit of rank."""
+        return [f for f in self._diag if f]
+
+    def solve(self, b):
+        """Some integer solution of a*x = b, or None; either answer is
+        checked exactly (see the class docstring)."""
+        if len(b) != self.a.nrows:
+            raise ValueError("dimension mismatch")
+        c = [0] * self.a.nrows
+        for j, bj in enumerate(b):
+            if bj:
+                for i, uij in self._u_cols[j]:
+                    c[i] += uij * bj
+        x = [0] * self.a.ncols
+        for i, (ci, di) in enumerate(zip(c, self._diag)):
+            if _residue(ci, di):
+                self._check_witness(i)
+                return None
+            if ci:
+                yi = ci // di
+                for k, vki in self._v_cols[i]:
+                    x[k] += vki * yi
+        for row, bi in zip(self._a_rows, b):
+            if sum(e * x[j] for j, e in row) != bi:
+                raise VerificationError("integer solve verification failed")
+        return x
+
+    def _check_witness(self, i):
+        # w*b = (u*b)_i is nonzero modulo d_i, which is how solve chose i;
+        # what is left to check is w*a = 0 modulo d_i
+        w, di = self.u.entries[i], self._diag[i]
+        wa = [0] * self.a.ncols
+        for k, wk in enumerate(w):
+            if wk:
+                for j, e in self._a_rows[k]:
+                    wa[j] += wk * e
+        if any(_residue(e, di) for e in wa):
+            raise VerificationError(
+                f"integer solve: row {i} of u does not witness that b is off the lattice")
+
+
+def int_smith_solver(a):
+    """The Smith decomposition of an integer matrix, ready to solve against."""
+    return IntSmithSolver(a, *int_smith_transforms(a))
+
+
 def int_smith(a):
     """Invariant factors d_1 | d_2 | ... of an integer matrix and its rank."""
-    d, _, _ = int_smith_transforms(a)
-    factors = []
-    for i in range(min(a.nrows, a.ncols)):
-        if d.entries[i][i]:
-            factors.append(d.entries[i][i])
+    factors = int_smith_solver(a).factors
     return factors, len(factors)
 
 
 def int_solve(a, b):
-    """Some integer solution of a*x = b, or None; re-verified."""
-    if len(b) != a.nrows:
-        raise ValueError("dimension mismatch")
-    d, u, v = int_smith_transforms(a)
-    c = [sum(u.entries[i][j] * b[j] for j in range(a.nrows)) for i in range(a.nrows)]
-    y = [0] * a.ncols
-    for i in range(a.nrows):
-        di = d.entries[i][i] if i < min(a.nrows, a.ncols) else 0
-        if di:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-        elif c[i]:
-            return None
-    x = [sum(v.entries[i][j] * y[j] for j in range(a.ncols)) for i in range(a.ncols)]
-    for i in range(a.nrows):
-        if sum(a.entries[i][j] * x[j] for j in range(a.ncols)) != b[i]:
-            raise VerificationError("integer solve verification failed")
-    return x
+    """Some integer solution of a*x = b, or None; either answer is checked."""
+    return int_smith_solver(a).solve(b)

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lkbrep import arrangement
+from lkbrep import arrangement, linalg
 from lkbrep.arrangement import (
     Line,
     build_facets,
@@ -250,6 +252,42 @@ def test_salvetti_h1_examples():
     rank, torsion, relations = salvetti_h1(sc)
     assert (rank, torsion) == (5, [])
     assert set(relations) == set(range(len(sc.fc.edges)))
+
+
+def count_smith_decompositions(monkeypatch):
+    calls = []
+    smith = linalg.int_smith_transforms
+
+    def counted(a):
+        calls.append(a.nrows)
+        return smith(a)
+
+    monkeypatch.setattr(linalg, "int_smith_transforms", counted)
+    return calls
+
+
+def test_salvetti_h1_runs_one_smith_decomposition(monkeypatch):
+    calls = count_smith_decompositions(monkeypatch)
+    eight = Path(__file__).resolve().parent.parent / "data" / "arrangements" / "family-08.json"
+    for lines in ([Line.from_rationals(1, 0, 0)], lines_a2(),
+                  load_arrangement(json.loads(eight.read_text()))):
+        calls.clear()
+        sc = build_salvetti(build_facets(lines))
+        rank, torsion, relations = salvetti_h1(sc)
+        assert (rank, torsion) == (len(lines), [])
+        assert len(relations) == len(sc.fc.edges)
+        assert len(calls) == 1
+
+
+def test_sign_vector_matches_line_side():
+    rng = random.Random(17)
+    for _ in range(40):
+        lines = random_arrangement(rng)
+        points = [(Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+                   Fraction(rng.randint(-30, 30), rng.randint(1, 12))) for _ in range(5)]
+        points += [pt for l1 in lines for l2 in lines if (pt := intersect(l1, l2))]
+        for pt in points:
+            assert arrangement._sign_vector(lines, pt) == tuple(l.side(pt) for l in lines)
 
 
 def random_arrangement(rng, max_lines=6):

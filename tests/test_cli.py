@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +91,15 @@ def test_arrangement_with_close_lines_never_raises(tmp_path, capsys):
     out = json.loads(out)
     assert out["facets"]["chambers"] == 7
     assert out["h1"]["rank"] == 3
+
+
+def test_arrangement_fixed_eight_lines(capsys):
+    f = Path(__file__).resolve().parent.parent / "data" / "arrangements" / "family-08.json"
+    code, out, err = run(capsys, "arrangement", "--input", str(f), "--format", "json")
+    assert code == 0, err
+    out = json.loads(out)
+    assert out["lines"] == 8
+    assert out["h1"]["rank"] == 8 and out["h1"]["torsion"] == []
 
 
 def test_arrangement_malformed_json(tmp_path, capsys):

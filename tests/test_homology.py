@@ -17,7 +17,7 @@ from lkbrep.homology import (
     verify_eta_triangular,
     LEAD,
 )
-from lkbrep import homology
+from lkbrep import homology, linalg
 from lkbrep.linalg import VerificationError, field_kernel_raw
 from lkbrep.ring import LaurentPolynomial, RationalFunction, rf_is_laurent, ONE, X, Y, ZERO
 
@@ -249,3 +249,18 @@ def test_h1(n):
     assert torsion == []
     assert all(relations.values())
     assert f"b1-a1" in relations
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_h1_runs_one_smith_decomposition(monkeypatch, n):
+    calls = []
+    smith = linalg.int_smith_transforms
+
+    def counted(a):
+        calls.append(a.nrows)
+        return smith(a)
+
+    monkeypatch.setattr(linalg, "int_smith_transforms", counted)
+    rank, _, relations = h1_fn(n)
+    assert rank == n + 1 and len(relations) == 2 * n
+    assert len(calls) == 1

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from lkbrep.linalg import (
     field_rank,
     field_solve,
     int_smith,
+    int_smith_solver,
     int_smith_transforms,
     int_solve,
     rank_mod_p,
@@ -203,6 +206,136 @@ def test_int_solve():
     assert int_solve(a, [1, 0]) is None  # 2x = 1 has no integer solution
     assert int_solve(Matrix([[1, 1]]), [5]) is not None
     assert int_solve(Matrix([[0, 0]]), [1]) is None
+
+
+def fraction_det(rows):
+    a = [[Fraction(e) for e in row] for row in rows]
+    n, det = len(a), Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            a[p], a[c] = a[c], a[p]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def test_int_smith_dense_matrix_keeps_small_coefficients():
+    # Euclid remainder chains on this matrix once grew entries past 246 bits
+    # by the fifth pivot and did not finish in two minutes
+    rows = [[-1, 0, -3, -5, -2, -5, -3, -6], [0, 0, -6, -2, 0, 2, 2, 3],
+            [2, 1, -5, 6, -6, -5, -2, 1], [4, 4, 4, -1, 4, -5, 3, 0],
+            [2, -2, -5, -3, -5, 0, -1, 4], [2, -1, -6, 0, -2, -4, -3, 5],
+            [5, 0, -3, 0, 0, 6, 0, 3], [0, -6, -5, -4, 2, 1, 5, 1]]
+    a = Matrix(rows)
+    d, u, v = int_smith_transforms(a)
+    assert u.mul(a).mul(v) == d
+    factors, rank = int_smith(a)
+    assert rank == 8
+    prod = 1
+    for f in factors:
+        prod *= f
+    assert prod == abs(fraction_det(rows))
+    assert max(abs(e).bit_length() for m in (d, u, v) for row in m.entries for e in row) < 128
+
+
+def random_unimodular(rng, n):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, k = rng.sample(range(n), 2)
+        q = rng.randint(-2, 2)
+        m[i] = [x + q * y for x, y in zip(m[i], m[k])]
+    return m
+
+
+def mat_vec(rows, x):
+    return [sum(e * xj for e, xj in zip(row, x)) for row in rows]
+
+
+def test_shared_solver_agrees_with_fresh_int_solve():
+    """a = P * D * Q with P, Q unimodular and D diagonal, so the lattice
+    a*Z^n and its Q-span are known: b = P*z lies in the lattice iff
+    D_i | z_i wherever D_i != 0, and in the Q-span iff z_i = 0 wherever
+    D_i = 0."""
+    rng = random.Random(51)
+    kinds = {"lattice": 0, "q-span only": 0, "outside q-span": 0}
+    for _ in range(36):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        diag = [rng.choice([0, 1, 1, 2, 3, 6]) for _ in range(min(m, n))]
+        dmat = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)] for i in range(m)]
+        p, q = random_unimodular(rng, m), random_unimodular(rng, n)
+        a = Matrix(p).mul(Matrix(dmat)).mul(Matrix(q))
+        smith = int_smith_solver(a)
+        assert smith.factors == int_smith(a)[0]
+        for _ in range(8):
+            z = [rng.randint(-4, 4) for _ in range(m)]
+            in_span = all(z[i] == 0 for i in range(m) if i >= len(diag) or diag[i] == 0)
+            in_lattice = in_span and all(z[i] % diag[i] == 0
+                                         for i in range(len(diag)) if diag[i])
+            kinds["lattice" if in_lattice else "q-span only" if in_span else "outside q-span"] += 1
+            b = mat_vec(p, z)
+            x = smith.solve(b)
+            assert (x is not None) == in_lattice == (int_solve(a, b) is not None)
+            if x is not None:
+                assert mat_vec(a.entries, x) == b
+            # and the same verdict on 2*b, which may or may not reach the lattice
+            scaled = [2 * e for e in b]
+            assert (smith.solve(scaled) is None) == (int_solve(a, scaled) is None)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_shared_solver_checks_both_answers():
+    a = Matrix([[2, 0], [0, 3]])
+    smith = int_smith_solver(a)
+    assert smith.solve([4, -9]) == [2, -3] and smith.solve([1, 0]) is None
+    cases = [
+        # d claims 2 | 1: the wrong solution [1, 0] fails a*x = b
+        (dataclasses.replace(smith, d=Matrix([[1, 0], [0, 3]])), [1, 0]),
+        # d claims 4 does not divide 2: row 0 of u is no witness
+        (dataclasses.replace(smith, d=Matrix([[4, 0], [0, 3]])), [2, 0]),
+        # an edited u turns (0, 3) into (3, 3): a wrong None
+        (dataclasses.replace(smith, u=Matrix([[1, 1], [0, 1]])), [0, 3]),
+        # an edited u turns (2, 1) into (2, 3): a wrong solution
+        (dataclasses.replace(smith, u=Matrix([[1, 0], [1, 1]])), [2, 1]),
+    ]
+    for bad, b in cases:
+        with pytest.raises(VerificationError):
+            bad.solve(b)
+    # d_i = 0: row 1 of u must annihilate a to witness b outside the Q-span
+    col = int_smith_solver(Matrix([[1], [1]]))
+    assert col.solve([1, 2]) is None and col.solve([3, 3]) == [3]
+    with pytest.raises(VerificationError):
+        dataclasses.replace(col, u=Matrix.identity(2)).solve([1, 2])
+
+
+def test_corrupted_decompositions_never_answer_wrongly():
+    """Whatever is done to u, every answer is either right or refused."""
+    rng = random.Random(52)
+    refused = 0
+    for _ in range(30):
+        m, n = rng.randint(2, 6), rng.randint(2, 6)
+        a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+        smith = int_smith_solver(a)
+        u = [list(row) for row in smith.u.entries]
+        i = rng.randrange(m)
+        u[i][rng.randrange(m)] += rng.choice([-1, 1])
+        bad = dataclasses.replace(smith, u=Matrix(u))
+        for _ in range(6):
+            b = [rng.randint(-5, 5) for _ in range(m)]
+            try:
+                x = bad.solve(b)
+            except VerificationError:
+                refused += 1
+                continue
+            assert (x is None) == (smith.solve(b) is None)
+            if x is not None:
+                assert mat_vec(a.entries, x) == b
+    assert refused > 0
 
 
 def test_labels_and_json():

@@ -225,16 +225,11 @@ class ChainEndo:
     c2_cols: dict
 
     def apply_c1(self, u):
-        out = Chain(1)
-        for e, coeff in u.coeffs.items():
-            out = out + self.c1_cols[e].scaled(coeff)
-        return out
+        return Chain.combination(1, [(coeff, self.c1_cols[e]) for e, coeff in u.coeffs.items()])
 
     def apply_c2(self, u):
-        out = Chain(2)
-        for cell, coeff in u.coeffs.items():
-            out = out + self.c2_cols[cell].scaled(coeff)
-        return out
+        return Chain.combination(2, [(coeff, self.c2_cols[cell])
+                                     for cell, coeff in u.coeffs.items()])
 
     def c2_matrix(self):
         cs = sal_fn(self.n).basis2
@@ -399,12 +394,11 @@ def fork_chain(p, q, n, part="class"):
         return Chain(2, {cell_B(k, 1): X ** (k - 1) for k in range(p + 1, q)})
     if part == "X2":
         lead = (Y - 1) * (X * Y + 1)
-        u = v_chain(p, "b", n).scaled(X ** p * (X - 1))
-        u = u + v_chain(q, "a", n).scaled(X ** (q - 1) * (X - 1))
-        u = u + Chain(2, {cell_A(p, q): X ** (q - 1) * lead})
-        for k in range(p + 1, q):
-            u = u - Chain(2, {cell_A(p, k): X ** (k - 1) * (X - 1) * lead})
-        return u
+        a_cells = {cell_A(p, k): -(X ** (k - 1) * (X - 1) * lead) for k in range(p + 1, q)}
+        a_cells[cell_A(p, q)] = X ** (q - 1) * lead
+        return Chain.combination(2, [(X ** p * (X - 1), v_chain(p, "b", n)),
+                                     (X ** (q - 1) * (X - 1), v_chain(q, "a", n)),
+                                     (ONE, Chain(2, a_cells))])
     if part != "class":
         raise ValueError(f"unknown part {part!r}")
     if q == p + 1:
@@ -425,10 +419,10 @@ def verify_fork_boundary(p, q, n):
     scale = (X - 1) * (X - 1) * (X * Y + 1)
     lhs = tc.differential(fork_chain(p, q, n, "X2"))
     rhs = tc.differential(fork_chain(p, q, n, "X1")).scaled(scale)
-    closed = Chain(1, {edge_c(p + 1): -(X ** p), edge_c(q): X ** (q - 1)})
-    for k in range(p + 1, q):
-        closed = closed + Chain(1, {edge_a(k): -(X ** (k - 1)) * (Y - 1)})
-    closed = closed.scaled(scale)
+    closed = {edge_a(k): -(X ** (k - 1)) * (Y - 1) for k in range(p + 1, q)}
+    closed[edge_c(p + 1)] = -(X ** p)
+    closed[edge_c(q)] = X ** (q - 1)
+    closed = Chain(1, closed).scaled(scale)
     if lhs != rhs or lhs != closed:
         raise VerificationError(f"fork boundary identity fails at ({p},{q})")
     return {"p": p, "q": q, "n": n, "passed": True}

@@ -256,12 +256,11 @@ def _verify_rows(max_n, seed):
             rounds = 100 if n <= 5 else 10
             for _ in range(rounds):
                 lams = {}
-                u = cx.Chain(2)
                 for p in pair_list(n):
                     t = {(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-5, 5)
                          for _ in range(rng.randint(0, 2))}
                     lams[p] = LaurentPolynomial(t)
-                    u = u + basis[p].scaled(lams[p])
+                u = cx.Chain.combination(2, [(lams[p], basis[p]) for p in pair_list(n)])
                 got = reduce_to_integral_basis(u, n)
                 for p in pair_list(n):
                     if got.get(p, LaurentPolynomial()) != lams[p]:

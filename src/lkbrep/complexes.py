@@ -121,29 +121,38 @@ class Chain:
         return Chain(self.degree, {l: -c for l, c in self.coeffs.items()})
 
     def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        c = dict(self.coeffs)
-        for l, v in other.coeffs.items():
-            s = c.get(l, ZERO) + v
-            if s:
-                c[l] = s
-            elif l in c:
-                del c[l]
-        out = Chain.__new__(Chain)
-        out.degree = self.degree
-        out.coeffs = c
-        return out
+        return Chain.combination(self.degree, ((ONE, self), (ONE, other)))
 
     def __sub__(self, other):
-        return self + (-other)
+        return Chain.combination(self.degree, ((ONE, self), (-ONE, other)))
 
     def scaled(self, factor):
-        if isinstance(factor, int):
-            factor = _as_lp(factor)
-        if not factor:
-            return Chain(self.degree)
-        return Chain(self.degree, {l: factor * c for l, c in self.coeffs.items()})
+        return Chain.combination(self.degree, ((factor, self),))
+
+    @staticmethod
+    def combination(degree, terms):
+        """The chain sum of factor * chain over the (factor, chain) pairs in
+        terms, every chain of the given degree (ValueError otherwise).
+
+        The sum accumulates into one dict, so it costs one pass over the
+        terms' supports; zero factors are skipped, and coefficients that
+        cancel are dropped once, at the end."""
+        acc = {}
+        for factor, chain in terms:
+            if chain.degree != degree:
+                raise ValueError("degree mismatch")
+            if isinstance(factor, int):
+                factor = _as_lp(factor)
+            if not factor:
+                continue
+            for label, c in chain.coeffs.items():
+                v = factor * c
+                prev = acc.get(label)
+                acc[label] = v if prev is None else prev + v
+        out = Chain.__new__(Chain)
+        out.degree = degree
+        out.coeffs = {label: c for label, c in acc.items() if c}
+        return out
 
     def support(self):
         return sorted(self.coeffs)
@@ -209,10 +218,8 @@ class TwistedComplex:
         """Extend d linearly from basis 2-cells to any degree-2 chain."""
         if u.degree != 2:
             raise ValueError("differential is defined on degree-2 chains")
-        out = Chain(1)
-        for label, coeff in u.coeffs.items():
-            out = out + self.d_cols[label].scaled(coeff)
-        return out
+        return Chain.combination(1, [(coeff, self.d_cols[label])
+                                     for label, coeff in u.coeffs.items()])
 
     def differential_matrix(self):
         rows = []

@@ -4,7 +4,10 @@ complex, and the integral first homology.
 The distinguished cycles E(i, j) span the kernel of the twisted boundary
 over Q(x, y); the integral cycles form a basis of the kernel over the
 Laurent ring itself, reached from any integral cycle by a descent on the
-leading square cell.  For first homology, the boundary is specialized at
+leading square cell.  A descent that succeeds writes its input as a
+combination of basis cycles, so it certifies that the input is a cycle;
+only a failed one computes a boundary, to tell a non-cycle from a defect
+in the basis.  For first homology, the boundary is specialized at
 x = y = 1 and handed to Smith normal form.
 """
 
@@ -65,13 +68,11 @@ def e_cycle(i, j, n):
     (y-1)(xy+1), completed by V-chains so that the boundary cancels."""
     if not 1 <= i < j <= n:
         raise ValueError(f"bad pair ({i}, {j}) for n={n}")
-    u = Chain(2, {cell_A(i, j): LEAD})
-    u = u + v_chain(i, "b", n).scaled(X - 1)
-    u = u + v_chain(j, "a", n).scaled(X - 1)
     sq = (X - 1) * (X - 1)
-    for k in range(i + 1, j):
-        u = u + v_chain(k, "0", n).scaled(sq)
-    return u
+    terms = [(ONE, Chain(2, {cell_A(i, j): LEAD})),
+             (X - 1, v_chain(i, "b", n)), (X - 1, v_chain(j, "a", n))]
+    terms += [(sq, v_chain(k, "0", n)) for k in range(i + 1, j)]
+    return Chain.combination(2, terms)
 
 
 @lru_cache(maxsize=None)
@@ -155,9 +156,7 @@ def verify_eta_triangular(n):
     size = len(blabels)
     mat = [[ZERO] * size for _ in range(size)]
     for col, b in enumerate(blabels):
-        image = Chain(2)
-        for e, coeff in tc.d_cols[b].coeffs.items():
-            image = image + eta[e].scaled(coeff)
+        image = Chain.combination(2, [(coeff, eta[e]) for e, coeff in tc.d_cols[b].coeffs.items()])
         for lbl, coeff in image.coeffs.items():
             mat[index[lbl]][col] = coeff
     triangular = all(not mat[r][c] for r in range(size) for c in range(r + 1, size))
@@ -180,20 +179,18 @@ def e_coordinates(u, n):
     """Coordinates of a cycle over the E cycles, as rational functions.
 
     The chain must have Laurent coefficients and be a cycle; anything else
-    raises ValueError.  The coordinate at (i, j) is the A(i, j) coefficient
-    divided by (y-1)(xy+1); the full chain identity is then re-verified,
-    which also confirms every B coefficient."""
+    raises ValueError.  The cycle is checked up front, by its boundary;
+    reduce_to_integral_basis skips that check, since a reduction that
+    succeeds certifies the cycle.  The coordinate at (i, j) is the A(i, j)
+    coefficient divided by (y-1)(xy+1); the full chain identity is then
+    re-verified, which also confirms every B coefficient."""
     if not _is_lp_chain(u):
         raise ValueError("expected a chain with Laurent coefficients")
     if sal_fn(n).differential(u):
         raise ValueError("input chain is not a cycle")
     es = e_basis(n)
     pairs = pair_list(n)
-    rhs = Chain(2)
-    for p in pairs:
-        a = u[cell_A(*p)]
-        if a:
-            rhs = rhs + es[p].scaled(a)
+    rhs = Chain.combination(2, [(u[cell_A(*p)], es[p]) for p in pairs])
     if u.scaled(LEAD) != rhs:
         raise VerificationError("cycle is not the expected combination of E cycles")
     return {p: RationalFunction(u[cell_A(*p)], LEAD) for p in pairs}
@@ -251,9 +248,7 @@ def integral_x(i, j, n):
         denom = LEAD
         combo = {(i + 1, j - 1): ONE, (i, j - 1): -ONE, (i + 1, j): -ONE, (i, j): ONE}
     es = e_basis(n)
-    rhs = Chain(2)
-    for p, c in combo.items():
-        rhs = rhs + es[p].scaled(c)
+    rhs = Chain.combination(2, [(c, es[p]) for p, c in combo.items()])
     if u.scaled(denom) != rhs:
         raise VerificationError(f"cell form of X({i},{j}) disagrees with its E-combination")
     if sal_fn(n).differential(u):
@@ -278,36 +273,51 @@ def _leading_divisor(i, j):
 def reduce_to_integral_basis(u, n):
     """Coordinates of an integral cycle over the integral basis.
 
-    Descends on the largest A cell present: its coefficient must be exactly
-    divisible by the leading coefficient of the matching basis cycle, whose
-    multiple is subtracted; a failed division or a nonzero leftover is a
-    hard error, never absorbed."""
+    Descends on the A cells from the largest down: each coefficient must be
+    exactly divisible by the leading coefficient of the matching basis
+    cycle, whose multiple is subtracted in place.  A descent that ends at
+    zero writes u as a Laurent combination of basis cycles, each checked to
+    be a cycle on construction, so success certifies that u is a cycle and
+    no boundary is computed.  A failed division or a nonzero leftover is a
+    hard error, never absorbed: ValueError when u is not a cycle,
+    VerificationError when it is."""
     if not _is_lp_chain(u):
         raise ValueError("expected a chain with Laurent coefficients")
-    tc = sal_fn(n)
-    if tc.differential(u):
-        raise ValueError("input chain is not a cycle")
+    if u.degree != 2:
+        raise ValueError("expected a chain of degree 2")
     basis = integral_basis(n)
+    work = dict(u.coeffs)
     coords = {}
-    work = u
-    while True:
-        best = None
-        for p in pair_list(n):
-            if work[cell_A(*p)] and (best is None or a_order_key(p) > a_order_key(best)):
-                best = p
-        if best is None:
-            break
-        alpha = work[cell_A(*best)]
-        div = _leading_divisor(*best)
+    for p in sorted(pair_list(n), key=a_order_key, reverse=True):
+        alpha = work.get(cell_A(*p))
+        if alpha is None:
+            continue
+        div = _leading_divisor(*p)
         lam = alpha if div == ONE else lp_try_div_exact(alpha, div)
         if lam is None:
-            raise VerificationError(
-                f"leading coefficient at A{best} is not divisible by {div}")
-        work = work - basis[best].scaled(lam)
-        coords[best] = lam
+            raise _reduction_error(u, n, f"leading coefficient at A{p} is not divisible by {div}")
+        neg = -lam
+        for cell, c in basis[p].coeffs.items():
+            v = neg * c
+            prev = work.get(cell)
+            if prev is not None:
+                v = prev + v
+            if v:
+                work[cell] = v
+            else:
+                work.pop(cell, None)
+        coords[p] = lam
     if work:
-        raise VerificationError("reduction left a nonzero chain with no A cells")
+        raise _reduction_error(u, n, "reduction left a nonzero chain with no A cells")
     return coords
+
+
+def _reduction_error(u, n, message):
+    """The error a failed descent raises: ValueError when the input is not a
+    cycle, else VerificationError with the message, naming the basis."""
+    if sal_fn(n).differential(u):
+        return ValueError("input chain is not a cycle")
+    return VerificationError(message)
 
 
 def h1_fn(n):

@@ -20,7 +20,7 @@ from lkbrep.complexes import (
     word_to_chain,
     word_weight,
 )
-from lkbrep.ring import ONE, X, Y
+from lkbrep.ring import LaurentPolynomial, ONE, X, Y, ZERO
 
 
 def expected_d(cell, n):
@@ -179,3 +179,64 @@ def test_json_shapes():
     assert obj["differential"]["rows"] == 7
     assert label_str(cell_A(1, 2)) == "A(1,2)"
     assert label_str(edge_a(1)) == "a1"
+
+
+def fold_combination(terms):
+    """Reference for Chain.combination: scale each chain, then add it to a
+    running sum, dropping cancelled coefficients after every step."""
+    out = {}
+    for factor, chain in terms:
+        for label, c in chain.coeffs.items():
+            s = out.get(label, ZERO) + factor * c
+            if s:
+                out[label] = s
+            else:
+                out.pop(label, None)
+    return out
+
+
+def random_coeff(rng):
+    return LaurentPolynomial({(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-4, 4)
+                              for _ in range(rng.randint(0, 3))})
+
+
+def random_factor(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-3, 3)
+    if kind == 1:
+        return rng.choice([0, ZERO])
+    return random_coeff(rng)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_combination_matches_a_fold_of_sums(n):
+    rng = random.Random(50 + n)
+    for degree, labels in ((1, edge_basis(n)), (2, cell_basis(n))):
+        for _ in range(40):
+            chains = [Chain(degree, {l: random_coeff(rng) for l in rng.sample(labels, rng.randint(0, 4))})
+                      for _ in range(rng.randint(0, 5))]
+            terms = [(random_factor(rng), c) for c in chains]
+            got = Chain.combination(degree, terms)
+            assert got.degree == degree
+            assert got.coeffs == fold_combination(terms)
+            assert all(got.coeffs.values())
+
+
+def test_combination_edge_cases():
+    u = Chain(2, {cell_A(1, 2): X - 1, cell_B(1, 1): Y})
+    v = Chain(2, {cell_A(1, 2): ONE, cell_B(2, 3): X})
+    assert Chain.combination(2, []) == Chain(2)
+    assert Chain.combination(2, [(0, u), (ZERO, v)]).coeffs == {}
+    # sums that cancel store no zero coefficient
+    assert Chain.combination(2, [(ONE, u), (-1, u)]).coeffs == {}
+    w = Chain.combination(2, [(X, v), (-X, Chain(2, {cell_A(1, 2): ONE}))])
+    assert w.coeffs == {cell_B(2, 3): X * X}
+    assert Chain.combination(2, [(2, u), (X - 1, v)]) == u + u + v.scaled(X - 1)
+    assert u - u == Chain(2) and not (u - u).coeffs
+    with pytest.raises(ValueError):
+        Chain.combination(2, [(ONE, u), (ONE, Chain(1, {edge_a(1): ONE}))])
+    with pytest.raises(ValueError):
+        Chain.combination(1, [(0, u)])  # zero factors are still degree-checked
+    with pytest.raises(ValueError):
+        u + Chain(1)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from lkbrep.complexes import Chain, cell_A, cell_B, edge_a, edge_b, edge_c, pair_list, sal_fn
+from lkbrep.complexes import (
+    Chain, TwistedComplex, cell_A, cell_B, edge_a, edge_b, edge_c, pair_list, sal_fn)
 from lkbrep.homology import (
     a_order_key,
     e_basis,
@@ -240,6 +241,67 @@ def test_reduce_random_round_trips(n):
         got = reduce_to_integral_basis(u, n)
         for p in pair_list(n):
             assert got.get(p, ZERO) == lams[p]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_successful_reduction_computes_no_boundary(monkeypatch, n):
+    from lkbrep.homology import integral_basis
+
+    rng = random.Random(200 + n)
+    basis = integral_basis(n)  # built, and checked to be cycles, before counting
+    cases = []
+    for _ in range(10):
+        lams = {p: random_lp(rng) for p in pair_list(n)}
+        cases.append((lams, Chain.combination(2, [(lams[p], basis[p]) for p in pair_list(n)])))
+    calls = []
+    differential = TwistedComplex.differential
+
+    def counted(self, u):
+        calls.append(u)
+        return differential(self, u)
+
+    monkeypatch.setattr(TwistedComplex, "differential", counted)
+    for lams, u in cases:
+        got = reduce_to_integral_basis(u, n)
+        assert {p: got.get(p, ZERO) for p in pair_list(n)} == lams
+    assert calls == []
+
+
+@pytest.mark.parametrize("u", [
+    Chain(2, {cell_A(1, 2): ONE}),
+    Chain(2, {cell_B(1, 1): ONE, cell_B(2, 3): X}),
+    integral_x(1, 3, 3) + Chain(2, {cell_B(2, 1): Y}),
+    Chain(1, {edge_a(1): ONE}),
+    Chain(1),
+    Chain(2, {cell_A(1, 2): RF(ONE, X - 1)}),
+])
+def test_reduce_rejects_what_is_not_an_integral_cycle(u):
+    with pytest.raises(ValueError):
+        reduce_to_integral_basis(u, 3)
+
+
+@pytest.mark.parametrize("scale, message", [
+    (2, r"leading coefficient at A\(1, 3\) is not divisible"),
+    # divides, but doubles the leading coefficient instead of clearing it:
+    # a descent that re-picked the largest cell would never end
+    (-1, None),
+])
+def test_reduce_names_a_corrupted_leading_divisor(monkeypatch, scale, message):
+    u = integral_x(1, 3, 3).scaled(X - 1) + integral_x(1, 2, 3).scaled(X * Y)
+    divisor = homology._leading_divisor
+    monkeypatch.setattr(homology, "_leading_divisor", lambda i, j: scale * divisor(i, j))
+    with pytest.raises(VerificationError, match=message):
+        reduce_to_integral_basis(u, 3)
+
+
+def test_reduce_names_a_corrupted_basis_entry(monkeypatch):
+    good = homology.integral_basis(3)
+    u = good[(1, 3)].scaled(X - 1) + good[(1, 2)].scaled(X * Y)
+    bad = dict(good)
+    bad[(1, 2)] = good[(1, 2)] + Chain(2, {cell_B(1, 1): ONE})
+    monkeypatch.setattr(homology, "integral_basis", lambda n: bad)
+    with pytest.raises(VerificationError, match="nonzero chain"):
+        reduce_to_integral_basis(u, 3)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -22,6 +22,54 @@ def test_library_uses_no_assert():
     assert offenders == []
 
 
+def _scaled_accumulations(tree):
+    """`name = name +/- <expr>.scaled(...)` or `name += <expr>.scaled(...)`
+    inside a loop: a chain sum that copies its running total every step."""
+    found = []
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                if not (isinstance(value, ast.BinOp) and isinstance(value.left, ast.Name)
+                        and isinstance(target, ast.Name) and value.left.id == target.id):
+                    continue
+                op, term = value.op, value.right
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                op, term = node.op, node.value
+            else:
+                continue
+            if (isinstance(op, (ast.Add, ast.Sub)) and isinstance(term, ast.Call)
+                    and isinstance(term.func, ast.Attribute) and term.func.attr == "scaled"):
+                found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_chain_sums_go_through_one_kernel():
+    # every chain sum in the library is one Chain.combination pass
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    offenders = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{line}" for line in _scaled_accumulations(tree)]
+    assert offenders == []
+
+
+def test_the_chain_sum_lint_sees_a_quadratic_sum():
+    src = """
+def f(cols, u):
+    out = Chain(1)
+    for label, c in u.coeffs.items():
+        out = out + cols[label].scaled(c)
+    while u:
+        u -= cols[0].scaled(2)
+    return out
+"""
+    assert _scaled_accumulations(ast.parse(src)) == [5, 7]
+
+
 def test_verification_error_has_one_class():
     from lkbrep import linalg, ring
 

@@ -26,16 +26,9 @@ from .complexes import (
     word_to_chain,
     word_weight,
 )
-from .homology import e_basis, e_coordinates, v_chain
-from .linalg import (
-    RANK_POINTS,
-    Matrix,
-    VerificationError,
-    field_rank,
-    rank_mod_p,
-    ring_triangular_inverse,
-)
-from .ring import rf_is_laurent, ONE, X, Y, ZERO
+from .homology import e_basis, v_chain, v_membership
+from .linalg import Matrix, VerificationError, ring_triangular_inverse
+from .ring import ONE, X, Y, ZERO
 
 
 @dataclass(frozen=True)
@@ -270,14 +263,12 @@ def homology_action(k, n):
     es = e_basis(n)
     cols = []
     for p in pairs:
-        image = endo.apply_c2(es[p])
-        coords = e_coordinates(image, n)
+        coords = v_membership(endo.apply_c2(es[p]), n)
+        if coords is None:
+            raise VerificationError(f"homology action at E{p} leaves the ring")
         col = [ZERO] * size
         for q, c in coords.items():
-            lp = rf_is_laurent(c)
-            if lp is None:
-                raise VerificationError(f"homology action at E{p} leaves the ring")
-            col[idx[q]] = lp
+            col[idx[q]] = c
         cols.append(col)
     labels = [f"E({p[0]},{p[1]})" for p in pairs]
     got = Matrix([[cols[j][i] for j in range(size)] for i in range(size)],
@@ -326,9 +317,12 @@ def h1_action(k, n):
 def eigen_structure_check(n):
     """Eigen-structure of the first generator on the E basis: one vector
     scaled by -x^2 y, a family scaled by -x, a fixed family, and the fixed
-    far cells; the combined family must be a basis over Q(x, y).  Full rank
-    is certified by rank_mod_p at one of RANK_POINTS (a lower bound on the
-    rank over Q(x, y)), falling back to field_rank when no point reaches it."""
+    far cells; the combined family must be a basis over Q(x, y).
+
+    In the row order (1,2); (1,j), (2,j) for j >= 3; then the far cells,
+    the family is block upper triangular: E(1,2) and the far cells are unit
+    1x1 blocks, and F(j), G(j) form a 2x2 block with determinant
+    (xy-1)(x^2y+1)(x+1).  is_block_triangular_basis checks exactly that."""
     if n < 3:
         raise ValueError("need n >= 3")
     pairs = pair_list(n)
@@ -348,38 +342,56 @@ def eigen_structure_check(n):
         return [c * e for e in vec]
 
     checks = []
-    family = []
-
     e12 = unit((1, 2))
     checks.append(("E(1,2) scaled by -x^2y", apply(e12) == scaled(e12, -X * X * Y)))
-    family.append(e12)
+    blocks = [([(1, 2)], [e12])]
     xy1 = X * Y - 1
+    x2y1 = X * X * Y + 1
     for j in range(3, n + 1):
         f = [ZERO] * size
         f[idx[(1, j)]] = xy1
         f[idx[(2, j)]] = -xy1
         f[idx[(1, 2)]] = Y * (ONE - X)
         checks.append((f"F({j}) scaled by -x", apply(f) == scaled(f, -X)))
-        family.append(f)
-    x2y1 = X * X * Y + 1
-    for j in range(3, n + 1):
         g = [ZERO] * size
         g[idx[(1, j)]] = X * x2y1
         g[idx[(2, j)]] = x2y1
         g[idx[(1, 2)]] = X * X * Y * (ONE - X)
         checks.append((f"G({j}) fixed", apply(g) == g))
-        family.append(g)
+        blocks.append(([(1, j), (2, j)], [f, g]))
     for i in range(3, n + 1):
         for j in range(i + 1, n + 1):
             v = unit((i, j))
             checks.append((f"E({i},{j}) fixed", apply(v) == v))
-            family.append(v)
-    fam = Matrix([[family[j][i] for j in range(len(family))] for i in range(size)],
-                 nrows=size, ncols=len(family))
-    full = (any(rank_mod_p(fam, *pt) == size for pt in RANK_POINTS)
-            or field_rank(fam) == size)
-    checks.append(("family is a basis", len(family) == size and full))
+            blocks.append(([(i, j)], [v]))
+    checks.append(("family is a basis", is_block_triangular_basis(blocks, idx)))
     return {"n": n, "checks": checks, "passed": all(ok for _, ok in checks)}
+
+
+def is_block_triangular_basis(blocks, idx):
+    """Whether a family of vectors is a basis over Q(x, y), certified by its
+    block upper triangular shape.
+
+    blocks is a list of (rows, vectors): the row labels of one diagonal
+    block, 1x1 or 2x2, and as many vectors; idx maps every row label to its
+    position.  The rows of all blocks must list every label once, every
+    vector must vanish on the rows of later blocks, and every diagonal block
+    must have a nonzero determinant.  The family's determinant is then the
+    product of those, nonzero in the domain Z[x^+-1, y^+-1]."""
+    if sorted(idx[p] for rows, _ in blocks for p in rows) != list(range(len(idx))):
+        return False
+    allowed = set()
+    for rows, vecs in blocks:
+        if len(rows) != len(vecs) or len(rows) > 2:
+            return False
+        allowed.update(idx[p] for p in rows)
+        if any(e and r not in allowed for v in vecs for r, e in enumerate(v)):
+            return False
+        sub = [[v[idx[p]] for v in vecs] for p in rows]
+        det = sub[0][0] if len(sub) == 1 else sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
+        if not det:
+            return False
+    return True
 
 
 def fork_chain(p, q, n, part="class"):
@@ -431,21 +443,14 @@ def verify_fork_boundary(p, q, n):
 def fork_in_e_basis(p, q, n):
     """Expansion of the fork class over the E cycles; must match the closed
     form x^(q-1) E(p,q) - sum over p<k<q of x^(k-1)(x-1) E(p,k)."""
-    coords = v_membership_strict(fork_chain(p, q, n, "class"), n)
+    coords = v_membership(fork_chain(p, q, n, "class"), n)
+    if coords is None:
+        raise VerificationError("cycle unexpectedly falls outside the spanned submodule")
     want = {(p, q): X ** (q - 1)}
     for k in range(p + 1, q):
         want[(p, k)] = -(X ** (k - 1)) * (X - 1)
     if coords != want:
         raise VerificationError(f"fork expansion at ({p},{q}) deviates from the closed form")
-    return coords
-
-
-def v_membership_strict(u, n):
-    from .homology import v_membership
-
-    coords = v_membership(u, n)
-    if coords is None:
-        raise VerificationError("cycle unexpectedly falls outside the spanned submodule")
     return coords
 
 

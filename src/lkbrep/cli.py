@@ -280,6 +280,7 @@ def _verify_rows(max_n, seed):
         for n in ns:
             for k in range(1, n):
                 chain_action(k, n)  # hard error on chain-map or weight failure
+                h1_action(k, n)  # hard error unless a_k and a_(k+1) are swapped
         return True, None
 
     def homology_matches():

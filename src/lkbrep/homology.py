@@ -2,7 +2,11 @@
 complex, and the integral first homology.
 
 The distinguished cycles E(i, j) span the kernel of the twisted boundary
-over Q(x, y); the integral cycles form a basis of the kernel over the
+over Q(x, y), which is proven exactly in the Laurent ring: their A-block is
+(y-1)(xy+1) times the identity, and the map eta composed with the boundary
+is triangular with nonzero diagonal on the B cells.  The coordinates of a
+cycle over the E cycles are then its A coefficients divided exactly by
+(y-1)(xy+1).  The integral cycles form a basis of the kernel over the
 Laurent ring itself, reached from any integral cycle by a descent on the
 leading square cell.  A descent that succeeds writes its input as a
 combination of basis cycles, so it certifies that the input is a cycle;
@@ -25,23 +29,8 @@ from .complexes import (
     pair_list,
     sal_fn,
 )
-from .linalg import (
-    RANK_POINTS,
-    VerificationError,
-    field_kernel_raw,
-    int_smith_solver,
-    rank_mod_p,
-)
-from .ring import (
-    LaurentPolynomial,
-    RationalFunction,
-    lp_try_div_exact,
-    rf_is_laurent,
-    ONE,
-    X,
-    Y,
-    ZERO,
-)
+from .linalg import VerificationError, int_smith_solver
+from .ring import LaurentPolynomial, lp_try_div_exact, ONE, X, Y, ZERO
 
 LEAD = (Y - 1) * (X * Y + 1)  # coefficient of the A cell inside each E cycle
 
@@ -93,21 +82,17 @@ def kernel_rank(n):
     """Dimension over Q(x, y) of the kernel of the twisted boundary; also
     certifies that the E cycles span that kernel.
 
-    The certificate is a two-sided bound.  From below: the C(n, 2) E cycles
-    are cycles (checked by e_basis) and are independent, because their
-    A-block is exactly LEAD times the identity (checked here).  From above:
-    the rank of the boundary over F_p at a fixed point is at most its rank
-    over Q(x, y), so ncols - rank_p bounds the kernel dimension.  When the
-    bounds meet at one of RANK_POINTS the E cycles span the kernel.
-
-    If no point certifies, the kernel is computed by fraction-free
-    elimination instead and every basis vector is expanded over the E
-    cycles: the A-block is diagonal, so the only possible coordinates are
-    the A coefficients divided by LEAD, and e_coordinates checks that
-    expansion exactly."""
+    The certificate is a two-sided bound, exact in the Laurent ring.  From
+    below: the C(n, 2) E cycles are cycles (checked by e_basis) and are
+    independent, because their A-block is exactly LEAD times the identity
+    (checked here).  From above: eta composed with the boundary is
+    triangular with nonzero diagonal on the 3n B cells
+    (verify_eta_triangular), so its determinant is nonzero; the ring is a
+    domain, so the boundary is injective on the span of the B cells and the
+    kernel has dimension at most C(n, 2).  The bounds meet, so the E cycles
+    span the kernel."""
     if n < 2:
         raise ValueError("need n >= 2")
-    tc = sal_fn(n)
     es = e_basis(n)
     pairs = pair_list(n)
     for p in pairs:
@@ -115,15 +100,9 @@ def kernel_rank(n):
             if es[p][cell_A(*q)] != (LEAD if q == p else ZERO):
                 raise VerificationError(
                     f"A-block of the E cycles is not LEAD*I at E({p[0]},{p[1]}), A({q[0]},{q[1]})")
-    d = tc.differential_matrix()
-    if any(d.ncols - rank_mod_p(d, *pt) == len(pairs) for pt in RANK_POINTS):
-        return len(pairs)
-    vecs = field_kernel_raw(d)
-    for num, _den in vecs:
-        # num is den times the kernel vector, hence spans the same line
-        u = Chain(2, {cell: num[k] for k, cell in enumerate(tc.basis2)})
-        e_coordinates(u, n)  # raises VerificationError when outside the span
-    return len(vecs)
+    if not verify_eta_triangular(n)["passed"]:
+        raise VerificationError("eta o d is not triangular with nonzero diagonal on the B cells")
+    return len(pairs)
 
 
 def eta_map(n):
@@ -175,38 +154,31 @@ def _is_lp_chain(u):
     return all(isinstance(c, LaurentPolynomial) for c in u.coeffs.values())
 
 
-def e_coordinates(u, n):
-    """Coordinates of a cycle over the E cycles, as rational functions.
+def v_membership(u, n):
+    """Coordinates of a cycle over the E cycles when they all lie in the
+    Laurent ring, else None (the cycle sits outside the spanned submodule).
 
     The chain must have Laurent coefficients and be a cycle; anything else
-    raises ValueError.  The cycle is checked up front, by its boundary;
-    reduce_to_integral_basis skips that check, since a reduction that
-    succeeds certifies the cycle.  The coordinate at (i, j) is the A(i, j)
-    coefficient divided by (y-1)(xy+1); the full chain identity is then
-    re-verified, which also confirms every B coefficient."""
+    raises ValueError.  kernel_rank(n) certifies that the E cycles span the
+    kernel with A-block LEAD times the identity, so a cycle u is the sum of
+    (u[A(p)] / LEAD) E(p): each coordinate is an A coefficient divided
+    exactly by LEAD.  The nonzero ones are returned, or None at the first
+    division that leaves the ring.  The proper-submodule check rests on
+    this: the A(1, 2) coordinate of X(1, 3) is (xy+1)/LEAD, which does not
+    divide exactly."""
     if not _is_lp_chain(u):
         raise ValueError("expected a chain with Laurent coefficients")
     if sal_fn(n).differential(u):
         raise ValueError("input chain is not a cycle")
-    es = e_basis(n)
-    pairs = pair_list(n)
-    rhs = Chain.combination(2, [(u[cell_A(*p)], es[p]) for p in pairs])
-    if u.scaled(LEAD) != rhs:
-        raise VerificationError("cycle is not the expected combination of E cycles")
-    return {p: RationalFunction(u[cell_A(*p)], LEAD) for p in pairs}
-
-
-def v_membership(u, n):
-    """Coordinates of a cycle over the E cycles when they all lie in the
-    Laurent ring, else None (the cycle sits outside the spanned submodule)."""
-    coords = e_coordinates(u, n)
+    kernel_rank(n)
     out = {}
-    for p, c in coords.items():
-        lp = rf_is_laurent(c)
-        if lp is None:
-            return None
-        if lp:
-            out[p] = lp
+    for p in pair_list(n):
+        alpha = u[cell_A(*p)]
+        if alpha:
+            c = lp_try_div_exact(alpha, LEAD)
+            if c is None:
+                return None
+            out[p] = c
     return out
 
 

@@ -8,12 +8,12 @@ rational functions appearing only during back-substitution; pivots are
 always the first nonzero entry scanning rows top-down and columns left to
 right, so identical inputs give identical outputs.
 
-The verification path prefers certificates to field elimination: the rank
-modulo a prime at a fixed point bounds the rank over Q(x, y) from below,
-and a ring inverse is accepted once a * a^-1 = I holds exactly.  An
-integer matrix is put in Smith normal form once, and every right-hand side
-is solved against that one decomposition; each answer, positive or
-negative, comes with an exact check.
+The verification path runs no field elimination.  It rests on exact
+certificates in the Laurent ring, such as a ring inverse accepted once
+a * a^-1 = I holds exactly; the field functions serve as oracles for those
+certificates.  An integer matrix is put in Smith normal form once, and
+every right-hand side is solved against that one decomposition; each
+answer, positive or negative, comes with an exact check.
 """
 
 from __future__ import annotations
@@ -132,45 +132,6 @@ class Matrix:
 
 # ---------------------------------------------------------------------------
 # certificates: cheap witnesses checked exactly
-
-MOD_P = (1 << 61) - 1
-
-# fixed evaluation points, tried in order by the rank certificates
-RANK_POINTS = ((3, 5), (7, 11), (13, 17))
-
-
-def rank_mod_p(a, x0, y0):
-    """Rank over F_p, p = 2^61 - 1, of a matrix of Laurent polynomials (or
-    ints) evaluated at x = x0, y = y0; x0 and y0 must be nonzero mod p.
-
-    Evaluation is a ring map Z[x^+-1, y^+-1] -> F_p, so a minor nonzero at
-    the point is nonzero as a polynomial: the result is a lower bound on the
-    rank over Q(x, y), and equals it when the point avoids every maximal
-    nonzero minor."""
-    def value(e):
-        if isinstance(e, int):
-            return e % MOD_P
-        return sum(c * pow(x0, ex, MOD_P) * pow(y0, ey, MOD_P)
-                   for (ex, ey), c in e.terms.items()) % MOD_P
-
-    rows = [[value(e) for e in row] for row in a.entries]
-    rank = 0
-    for c in range(a.ncols):
-        p = next((i for i in range(rank, a.nrows) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[p], rows[rank] = rows[rank], rows[p]
-        inv = pow(rows[rank][c], -1, MOD_P)
-        pivot_row = rows[rank]
-        for i in range(rank + 1, a.nrows):
-            f = rows[i][c] * inv % MOD_P
-            if f:
-                row = rows[i]
-                for j in range(c, a.ncols):
-                    row[j] = (row[j] - f * pivot_row[j]) % MOD_P
-        rank += 1
-    return rank
-
 
 def ring_triangular_inverse(a):
     """Inverse over the Laurent ring of an upper-triangular matrix whose

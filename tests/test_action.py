@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from lkbrep.complexes import (
     word_weight,
 )
 from lkbrep import action
-from lkbrep.homology import e_basis, v_membership
+from lkbrep.homology import e_basis, integral_basis, v_membership
 from lkbrep.linalg import Matrix, VerificationError, field_inv, field_rank
 from lkbrep.ring import RationalFunction, rf_is_laurent, ONE, X, Y, ZERO
 
@@ -146,6 +147,27 @@ def test_homology_action_examples():
     assert col[idx[(1, 4)]] == ONE and col[idx[(2, 3)]] == -Y * (X - 1) * (X - 1)
 
 
+@pytest.mark.parametrize("corrupt", ["other-generator", "integral-cycles"])
+def test_homology_action_rejects_a_corrupted_chain_model(monkeypatch, corrupt):
+    if corrupt == "other-generator":
+        # generator 2's model in place of generator 1's: a ring matrix, but
+        # not the representation matrix
+        real = action.chain_action
+        monkeypatch.setattr(action, "chain_action", lambda k, n: real(3 - k, n))
+        match = "deviates"
+    else:
+        # the image of X(1,3) under generator 1 has coordinates -xy/(y-1),
+        # x/(y-1) and -x/(y-1) over the E cycles
+        monkeypatch.setattr(action, "e_basis", integral_basis)
+        match = "leaves the ring"
+    homology_action.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match=match):
+            homology_action(1, 3)
+    finally:
+        homology_action.cache_clear()
+
+
 def test_h1_action():
     rep = h1_action(1, 3)
     m = rep["matrix"]
@@ -162,17 +184,31 @@ def test_h1_action():
             assert h1_action(k, n)["matrix"].entries == want
 
 
-def test_h1_action_rejects_a_non_transposition(monkeypatch, capsys):
+def _edges_fixed(monkeypatch):
     # every edge sent to itself specializes to the identity, not the swap
     endo = chain_action(1, 3)
     fixed = ChainEndo(1, 3, {e: Chain(1, {e: ONE}) for e in endo.c1_cols}, endo.c2_cols)
     monkeypatch.setattr(action, "chain_action", lambda k, n: fixed)
+
+
+def test_h1_action_rejects_a_non_transposition(monkeypatch, capsys):
+    _edges_fixed(monkeypatch)
     with pytest.raises(VerificationError, match="swap"):
         h1_action(1, 3)
     from lkbrep.cli import main
 
     assert main(["action", "--n", "3", "--k", "1"]) == 1
     assert "verification failure" in capsys.readouterr().err
+
+
+def test_verify_sweep_checks_h1_action(monkeypatch, capsys):
+    _edges_fixed(monkeypatch)
+    from lkbrep.cli import main
+
+    assert main(["verify", "--max-n", "3", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["first_failure"]["check"] == "chain-map-and-weights"
+    assert "swap" in report["first_failure"]["witness"]["error"]
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -185,18 +221,65 @@ def test_eigen_structure_partial_n3():
     assert eigen_structure_check(3)["passed"]
 
 
-def test_eigen_basis_falls_back_when_no_point_certifies(monkeypatch):
-    # at x = y = 1 the F family vanishes, so only elimination can decide
-    calls = []
+def _eigen_family(n, corrupt=None):
+    """Run eigen_structure_check(n), optionally corrupting the family it
+    hands to its basis certificate; return the report and the blocks."""
+    seen = []
+    real = action.is_block_triangular_basis
 
-    def spy(a):
-        calls.append(a.ncols)
-        return field_rank(a)
+    def spy(blocks, idx):
+        if corrupt is not None:
+            blocks = corrupt(blocks, idx)
+        seen.append((blocks, idx))
+        return real(blocks, idx)
 
-    monkeypatch.setattr(action, "RANK_POINTS", ((1, 1),))
-    monkeypatch.setattr(action, "field_rank", spy)
-    assert eigen_structure_check(4)["passed"]
-    assert calls == [6]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(action, "is_block_triangular_basis", spy)
+        report = eigen_structure_check(n)
+    (blocks, idx), = seen
+    return report, blocks, idx
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_eigen_basis_certificate_agrees_with_the_bareiss_rank(n):
+    report, blocks, idx = _eigen_family(n)
+    assert report["passed"]
+    vecs = [v for _, vs in blocks for v in vs]
+    fam = Matrix([[v[i] for v in vecs] for i in range(len(idx))])
+    assert field_rank(fam) == len(idx) == len(vecs)
+    for rows, (f, g) in (b for b in blocks if len(b[0]) == 2):
+        (f1, f2), (g1, g2) = ([v[idx[p]] for p in rows] for v in (f, g))
+        assert f1 * g2 - g1 * f2 == (X * Y - 1) * (X * X * Y + 1) * (X + 1)
+
+
+def _with_block_3(blocks, vecs):
+    # blocks[1] holds F(3), G(3) on the rows (1,3), (2,3)
+    return blocks[:1] + [(blocks[1][0], vecs)] + blocks[2:]
+
+
+@pytest.mark.parametrize("corrupt", ["zero-determinant", "outside-pattern", "missing-block"])
+def test_eigen_basis_rejects_a_corrupted_family(corrupt):
+    def zero_determinant(blocks, idx):
+        # G(3) replaced by a multiple of F(3): its block determinant is zero
+        f, _ = blocks[1][1]
+        return _with_block_3(blocks, [f, [X * e for e in f]])
+
+    def outside_pattern(blocks, idx):
+        # F(3) gains an entry on a far row, a block below its own
+        f, g = blocks[1][1]
+        f = list(f)
+        f[idx[(3, 4)]] = ONE
+        return _with_block_3(blocks, [f, g])
+
+    def missing_block(blocks, idx):
+        # without E(3,4) the family no longer covers every row
+        return blocks[:-1]
+
+    fn = {"zero-determinant": zero_determinant, "outside-pattern": outside_pattern,
+          "missing-block": missing_block}[corrupt]
+    report, _, _ = _eigen_family(4, fn)
+    failed = [name for name, ok in report["checks"] if not ok]
+    assert failed == ["family is a basis"] and not report["passed"]
 
 
 def test_fork_chain_examples():

@@ -7,7 +7,6 @@ from lkbrep.complexes import (
 from lkbrep.homology import (
     a_order_key,
     e_basis,
-    e_coordinates,
     e_cycle,
     h1_fn,
     integral_x,
@@ -19,8 +18,8 @@ from lkbrep.homology import (
     LEAD,
 )
 from lkbrep import homology, linalg
-from lkbrep.linalg import VerificationError, field_kernel_raw
-from lkbrep.ring import LaurentPolynomial, RationalFunction, rf_is_laurent, ONE, X, Y, ZERO
+from lkbrep.linalg import VerificationError, field_kernel_raw, field_rank
+from lkbrep.ring import LaurentPolynomial, RationalFunction, ONE, X, Y, ZERO
 
 LP = LaurentPolynomial
 RF = RationalFunction
@@ -71,32 +70,53 @@ def test_kernel_rank_small(n, expected):
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_kernel_rank_matches_elimination_and_e_span(n):
     # Bareiss elimination is the oracle for the certified rank, and every
-    # kernel vector it finds must expand over the E cycles
+    # kernel vector it finds expands over the E cycles with coordinates
+    # read off its A-block: LEAD * v = sum of v[A(p)] * E(p)
     tc = sal_fn(n)
+    es = e_basis(n)
     vecs = field_kernel_raw(tc.differential_matrix())
     assert kernel_rank(n) == len(vecs)
     for num, _den in vecs:
-        e_coordinates(Chain(2, {cell: num[k] for k, cell in enumerate(tc.basis2)}), n)
+        v = Chain(2, {cell: num[k] for k, cell in enumerate(tc.basis2)})
+        rhs = Chain.combination(2, [(v[cell_A(*p)], es[p]) for p in pair_list(n)])
+        assert v.scaled(LEAD) == rhs
 
 
-def test_kernel_rank_falls_back_when_no_point_certifies(monkeypatch):
-    # at x = y = 1 the boundary loses rank, so the upper bound exceeds
-    # C(n, 2) and the elimination path has to decide
-    calls = []
+@pytest.mark.parametrize("n", range(2, 7))
+def test_kernel_rank_agrees_with_the_bareiss_rank(n):
+    d = sal_fn(n).differential_matrix()
+    assert kernel_rank(n) == d.ncols - field_rank(d)
 
-    def spy(a):
-        calls.append(a.ncols)
-        return field_kernel_raw(a)
 
-    monkeypatch.setattr(homology, "RANK_POINTS", ((1, 1),))
-    monkeypatch.setattr(homology, "field_kernel_raw", spy)
+def _corrupted_eta(corrupt):
+    good = homology.eta_map
+
+    def eta_map(n):
+        cols = good(n)
+        if corrupt == "zeroed-diagonal":
+            # no image has a B(1,1) component, so row B(1,1) of eta o d is zero
+            cols = {e: Chain(2, {c: v for c, v in u.coeffs.items() if c != cell_B(1, 1)})
+                    for e, u in cols.items()}
+        else:
+            # a_2 enters the boundary of B(2,1), a column right of B(1,1)
+            cols[edge_a(2)] = cols[edge_a(2)] + Chain(2, {cell_B(1, 1): ONE})
+        return cols
+
+    return eta_map
+
+
+@pytest.mark.parametrize("corrupt", ["zeroed-diagonal", "above-diagonal"])
+def test_kernel_rank_rejects_a_corrupted_eta(monkeypatch, corrupt):
+    monkeypatch.setattr(homology, "eta_map", _corrupted_eta(corrupt))
     kernel_rank.cache_clear()
     try:
-        for n in (2, 3, 4):
-            assert kernel_rank(n) == n * (n - 1) // 2
+        report = verify_eta_triangular(3)
+        want = (True, False) if corrupt == "zeroed-diagonal" else (False, True)
+        assert (report["triangular"], report["diagonal_nonzero"]) == want
+        with pytest.raises(VerificationError, match="eta"):
+            kernel_rank(3)
     finally:
         kernel_rank.cache_clear()
-    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("corrupt", ["repeated", "scaled"])
@@ -111,6 +131,9 @@ def test_kernel_rank_rejects_a_corrupted_e_a_block(monkeypatch, corrupt):
     try:
         with pytest.raises(VerificationError, match="A-block"):
             kernel_rank(3)
+        # coordinates are read off the A-block only once it is certified
+        with pytest.raises(VerificationError, match="A-block"):
+            v_membership(e_cycle(1, 2, 3), 3)
     finally:
         kernel_rank.cache_clear()
 
@@ -140,43 +163,31 @@ def test_eta_diagonal_specializes_nonzero():
             assert val != 0 and val.denominator == 1
 
 
-def test_e_coordinates_examples():
-    u = e_cycle(1, 2, 3)
-    coords = e_coordinates(u, 3)
-    assert coords[(1, 2)] == RF(1)
-    assert not coords[(1, 3)] and not coords[(2, 3)]
-    x13 = integral_x(1, 3, 3)
-    coords = e_coordinates(x13, 3)
-    assert coords[(1, 2)] == RF(1, Y - 1)
-    assert coords[(2, 3)] == RF(1, Y - 1)
-    assert coords[(1, 3)] == RF(-1, Y - 1)
-    assert all(not c for c in e_coordinates(Chain(2), 3).values())
-    with pytest.raises(ValueError):
-        e_coordinates(Chain(2, {cell_B(1, 1): ONE}), 3)
+def test_v_membership_coordinates():
+    assert v_membership(e_cycle(1, 2, 3), 3) == {(1, 2): ONE}
+    # X(1,3) has A(1,2) coefficient xy+1, and (xy+1)/LEAD leaves the ring
+    assert v_membership(integral_x(1, 3, 3), 3) is None
+    assert v_membership(Chain(2), 3) == {}
+    with pytest.raises(ValueError, match="not a cycle"):
+        v_membership(Chain(2, {cell_B(1, 1): ONE}), 3)
+    with pytest.raises(ValueError, match="Laurent"):
+        v_membership(e_basis(3)[(1, 2)].scaled(RF(1, Y - 1)), 3)
 
 
-def test_e_coordinates_rf_round_trip():
-    # rational coordinates lam over a common denominator D: the cycle with
-    # coordinates D * lam has Laurent coefficients and comes back exactly
+def test_v_membership_laurent_round_trip():
+    # a Laurent combination of E cycles comes back with its coordinates,
+    # zero coordinates omitted
     rng = random.Random(9)
     n = 4
     es = e_basis(n)
-    dens = [Y - 1, X * Y + 1, X, ONE]
-    common = (Y - 1) * (X * Y + 1) * X
     for _ in range(10):
         lams = {}
-        u = Chain(2)
         for p in pair_list(n):
-            num = LP({(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-3, 3)})
-            lam = RF(num, dens[rng.randrange(len(dens))])
-            lams[p] = lam
-            u = u + es[p].scaled(rf_is_laurent(lam * common))
-        coords = e_coordinates(u, n)
-        for p in pair_list(n):
-            assert coords[p] == lams[p] * common
-    # a chain with coefficients outside the Laurent ring is refused
-    with pytest.raises(ValueError, match="Laurent"):
-        e_coordinates(es[(1, 2)].scaled(RF(1, Y - 1)), n)
+            lam = LP({(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-3, 3)})
+            if lam:
+                lams[p] = lam * (X * Y + 1) ** rng.randint(0, 1)
+        u = Chain.combination(2, [(lam, es[p]) for p, lam in lams.items()])
+        assert v_membership(u, n) == lams
 
 
 def test_v_membership_examples():

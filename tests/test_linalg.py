@@ -15,9 +15,7 @@ from lkbrep.linalg import (
     int_smith_solver,
     int_smith_transforms,
     int_solve,
-    rank_mod_p,
     ring_triangular_inverse,
-    RANK_POINTS,
     VerificationError,
 )
 from lkbrep.ring import LaurentPolynomial, RationalFunction, ONE, X, Y, ZERO
@@ -77,22 +75,6 @@ def test_rank_nullity_randomized():
         n = rng.randint(1, 12)
         a = Matrix([[gens[rng.randrange(len(gens))] for _ in range(n)] for _ in range(m)])
         assert field_rank(a) + len(field_kernel(a)) == n
-
-
-def test_rank_mod_p_is_a_lower_bound_on_field_rank():
-    rng = random.Random(12)
-    gens = [ZERO, ONE, X, Y, X - 1, Y - 1, X * Y + 1, -X, LP({(-1, 2): 3}), 2]
-    for _ in range(20):
-        m = rng.randint(1, 8)
-        n = rng.randint(1, 8)
-        a = Matrix([[gens[rng.randrange(len(gens))] for _ in range(n)] for _ in range(m)])
-        r = field_rank(a)
-        ranks = [rank_mod_p(a, *pt) for pt in RANK_POINTS + ((1, 1), (1, -1))]
-        assert all(rp <= r for rp in ranks)
-        assert max(ranks) == r
-    # x - y vanishes on the diagonal x = y only
-    a = Matrix([[X - Y]])
-    assert (rank_mod_p(a, 2, 2), rank_mod_p(a, 2, 3)) == (0, 1)
 
 
 def test_ring_triangular_inverse():

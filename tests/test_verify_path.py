@@ -1,6 +1,6 @@
 """The verify path keeps every check under `python -O`, which strips
 `assert` statements, and decides its facts by certificates rather than by
-elimination over Q(x, y)."""
+elimination over Q(x, y) or rational functions."""
 
 import ast
 import pathlib
@@ -85,16 +85,19 @@ def test_verify_passes_under_optimize():
 
 REFUSE_ELIMINATION = """
 import sys
-from lkbrep import action, cli, homology, linalg
+from lkbrep import action, cli, homology, linalg, ring
 
 def refuse(*args):
-    raise RuntimeError("field elimination on the verify path")
+    raise RuntimeError("field elimination or a rational function on the CLI path")
 
 for mod in (linalg, homology, action):
     for name in ("field_kernel_raw", "field_solve", "field_inv", "field_rank", "field_det"):
         if hasattr(mod, name):
             setattr(mod, name, refuse)
-sys.exit(cli.main(["verify", "--max-n", "5"]))
+ring.RationalFunction.__init__ = refuse
+codes = [cli.main(argv) for argv in (["verify", "--max-n", "5"], ["homology", "--n", "5"],
+                                     ["fork", "--n", "5"], ["action", "--n", "4"])]
+sys.exit(max(codes))
 """
 
 

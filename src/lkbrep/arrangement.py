@@ -35,7 +35,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .complexes import CellComplex, TwistedComplex, word_to_chain
-from .linalg import int_smith_solver
+from .linalg import int_unit_pivot_factors
 from .ring import LaurentPolynomial, VerificationError
 
 
@@ -296,73 +296,84 @@ def build_salvetti(fc):
     return SalvettiComplex(fc, cx, edge_facet, edge_line)
 
 
-def _loop_chains(cx):
-    """Loop 1-chain of each directed edge once a spanning tree is chosen:
-    the edge itself plus the tree path closing it up."""
-    vs = sorted(cx.vertices)
-    es = sorted(cx.edges)
-    eidx = {e: i for i, e in enumerate(es)}
-    parent = {vs[0]: None}
-    frontier = [vs[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in es:
-                src, tgt = cx.edges[e]
-                if src == v and tgt not in parent:
-                    parent[tgt] = (e, 1, v)
-                    nxt.append(tgt)
-                elif tgt == v and src not in parent:
-                    parent[src] = (e, -1, v)
-                    nxt.append(src)
-        frontier = nxt
-    if len(parent) != len(vs):
+def _tree_phi(cx, edge_line, nlines):
+    """phi(P(w)) for every vertex w, where P(w) is the 1-chain of the path
+    from w to the root (the smallest vertex) in a BFS spanning tree and phi
+    sends each directed edge to e_l of its carrier line l.  The tree proves
+    that d1 has rank #vertices - 1; without one the complex is not
+    connected."""
+    adjacent = {v: [] for v in cx.vertices}
+    for e, (src, tgt) in cx.edges.items():
+        # P(w) is the step from w to its tree parent v, then P(v): the step
+        # is -e when e runs v -> w and +e when e runs w -> v
+        adjacent[src].append((tgt, edge_line[e], -1))
+        adjacent[tgt].append((src, edge_line[e], 1))
+    root = min(cx.vertices)
+    phi = {root: [0] * nlines}
+    order = [root]
+    for v in order:
+        for w, line, sign in adjacent[v]:
+            if w not in phi:
+                vec = list(phi[v])
+                vec[line] += sign
+                phi[w] = vec
+                order.append(w)
+    if len(phi) != len(cx.vertices):
         raise VerificationError("Salvetti complex is not connected")
-
-    path_cache = {vs[0]: [0] * len(es)}
-
-    def path_to_root(v):
-        if v not in path_cache:
-            e, sgn, up = parent[v]
-            vec = list(path_to_root(up))
-            vec[eidx[e]] -= sgn  # walk v -> up against the tree edge direction
-            path_cache[v] = vec
-        return path_cache[v]
-
-    loops = {}
-    for e in es:
-        src, tgt = cx.edges[e]
-        vec = [0] * len(es)
-        vec[eidx[e]] = 1
-        down = path_to_root(tgt)
-        upv = path_to_root(src)
-        loops[e] = [a + b - c for a, b, c in zip(vec, down, upv)]
-    return es, loops
+    return phi
 
 
 def salvetti_h1(sc):
     """First homology of the Salvetti complex, with a per-edge-facet report
     of whether the two opposite directed edges give the same homology
-    class.  d2 is put in Smith normal form once: its invariant factors give
-    the rank and torsion, and each edge-facet's loop difference is solved
-    against the same decomposition."""
-    # d1 has rank #vertices - 1: the spanning tree _loop_chains builds (or
-    # raises without) gives that many independent columns, and every column
-    # sums to zero
-    es, loops = _loop_chains(sc.complex)
-    d1, d2 = sc.complex.boundary_matrices()
-    smith = int_smith_solver(d2)
-    factors2 = smith.factors
-    rank = d1.ncols - (len(sc.complex.vertices) - 1) - len(factors2)
-    torsion = [f for f in factors2 if f != 1]
+    class.
+
+    Rank and torsion: d2's columns are the 2-cell words, reduced on unit
+    pivots by int_unit_pivot_factors, and d1 has rank #vertices - 1 by a
+    spanning tree.  The rank must equal the line count: H1 of the
+    complement of m lines is Z^m (Orlik-Terao, ch. 5), and phi below maps
+    each line's meridian e1 + e2 to 2 e_l, so the rank is at least m.
+
+    Relations, by a witness: phi sends each directed edge to e_l of its
+    carrier line l, in both directions.  Every 2-cell word crosses each
+    line through its vertex once each way, so phi kills d2 (checked on
+    every cell).  For opposite edges e1: u -> v and e2: v -> u the loop
+    difference is e1 - e2 + 2 (P(v) - P(u)), P the tree paths to the root;
+    a path from v to u crosses l an odd number of times, so phi of it has a
+    nonzero l entry (checked), and the two classes differ."""
+    cx = sc.complex
+    nlines = len(sc.fc.lines)
+    edge_line = sc.edge_line
+    columns = []
+    for cell, word in cx.cells.items():
+        column = {}
+        crossings = [0] * nlines
+        for e, sign in word:
+            column[e] = column.get(e, 0) + sign
+            crossings[edge_line[e]] += sign
+        if any(crossings):
+            raise VerificationError(f"phi does not vanish on the boundary of 2-cell {cell}")
+        columns.append(column)
+    phi = _tree_phi(cx, edge_line, nlines)
+    factors = int_unit_pivot_factors(columns)
+    rank = len(cx.edges) - (len(cx.vertices) - 1) - len(factors)
+    if rank != nlines:
+        raise VerificationError(f"H1 rank {rank} differs from the line count {nlines}")
+    torsion = [f for f in factors if f != 1]
+
+    def loop_phi(e, line):  # entry `line` of phi(e + P(target) - P(source))
+        src, tgt = cx.edges[e]
+        return (edge_line[e] == line) + phi[tgt][line] - phi[src][line]
+
     by_facet = {}
-    for e in es:
-        by_facet.setdefault(sc.edge_facet[e], []).append(e)
+    for e, fi in sc.edge_facet.items():
+        by_facet.setdefault(fi, []).append(e)
     relations = {}
-    for fi, pair in sorted(by_facet.items()):
-        e1, e2 = pair
-        diff = [a - b for a, b in zip(loops[e1], loops[e2])]
-        relations[fi] = smith.solve(diff) is not None
+    for fi, (e1, e2) in sorted(by_facet.items()):
+        line = sc.fc.edges[fi].line
+        if loop_phi(e1, line) == loop_phi(e2, line):
+            raise VerificationError(f"phi does not separate the opposite edges over edge-facet {fi}")
+        relations[fi] = False
     return rank, torsion, relations
 
 

@@ -171,6 +171,12 @@ def cmd_arrangement(args):
         print(f"{args.input}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"{args.input}: JSON nested too deeply to read", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # the integer-digit limit, or bytes that are not text
+        print(f"{args.input}: {exc}", file=sys.stderr)
+        return 2
     try:
         lines_in = arr.load_arrangement(data)
         fc = arr.build_facets(lines_in)

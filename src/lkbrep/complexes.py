@@ -334,25 +334,6 @@ class CellComplex:
             if pos != start:
                 raise ValueError(f"boundary of {cell} does not close up")
 
-    def boundary_matrices(self):
-        """Ordinary boundary matrices (d1: edges -> vertices,
-        d2: 2-cells -> edges) over Z, in sorted label order."""
-        vs = sorted(self.vertices)
-        es = sorted(self.edges)
-        cs = sorted(self.cells)
-        vidx = {v: i for i, v in enumerate(vs)}
-        eidx = {e: i for i, e in enumerate(es)}
-        d1 = [[0] * len(es) for _ in vs]
-        for e, (src, tgt) in self.edges.items():
-            d1[vidx[tgt]][eidx[e]] += 1
-            d1[vidx[src]][eidx[e]] -= 1
-        d2 = [[0] * len(cs) for _ in es]
-        for j, c in enumerate(cs):
-            for e, sign in self.cells[c]:
-                d2[eidx[e]][j] += sign
-        return (Matrix(d1, nrows=len(vs), ncols=len(es), row_labels=vs, col_labels=es),
-                Matrix(d2, nrows=len(es), ncols=len(cs), row_labels=es, col_labels=cs))
-
     def to_json_obj(self):
         return {
             "vertices": [label_str(v) for v in sorted(self.vertices)],

@@ -18,6 +18,7 @@ answer, positive or negative, comes with an exact check.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .ring import RationalFunction, VerificationError, ONE, ZERO, _as_rf, lp_try_div_exact
@@ -445,6 +446,62 @@ def int_smith_transforms(a):
 
     dm = Matrix(d, nrows=m, ncols=n)
     return dm, Matrix(u, nrows=m, ncols=m), Matrix(v, nrows=n, ncols=n)
+
+
+def int_unit_pivot_factors(columns):
+    """Invariant factors d_1 | d_2 | ... of an integer matrix given as
+    sparse columns, each a dict {row: entry} over sortable row keys.
+
+    Only +-1 entries are pivots.  The shortest column is popped from a heap
+    and pivots on its unit entry with the shortest row (ties to the smaller
+    column, then row).  Subtracting multiples of the pivot column clears
+    the pivot row from every other column; these column operations are
+    unimodular, so dropping the pivot row and column leaves the Schur
+    complement, updated in place, and each pivot is an invariant factor 1.
+    Only what has no unit entry once the heap runs dry goes to
+    int_smith_transforms."""
+    cols = [{r: e for r, e in col.items() if e} for col in columns]
+    rows = {}
+    for j, col in enumerate(cols):
+        for r in col:
+            rows.setdefault(r, set()).add(j)
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        size, j = heapq.heappop(heap)
+        col = cols[j]
+        if size != len(col):
+            continue  # a stale entry: the column changed or was eliminated
+        units = [r for r, e in col.items() if e in (1, -1)]
+        if not units:
+            continue  # back on the heap if a later pivot changes it
+        r = min(units, key=lambda r: (len(rows[r]), r))
+        p = col[r]
+        for k in [k for k in rows[r] if k != j]:
+            other = cols[k]
+            f = other[r] * p  # p = +-1, so this is other[r] / p
+            for i, e in col.items():
+                v = other.get(i, 0) - f * e
+                if v:
+                    if i not in other:
+                        rows[i].add(k)
+                    other[i] = v
+                else:
+                    del other[i]
+                    rows[i].discard(k)
+            heapq.heappush(heap, (len(other), k))
+        for i in col:
+            rows[i].discard(j)
+        cols[j] = {}
+        pivots += 1
+    rest = [col for col in cols if col]
+    factors = [1] * pivots
+    if rest:
+        keys = sorted(set().union(*rest))
+        d, _, _ = int_smith_transforms(Matrix([[col.get(r, 0) for col in rest] for r in keys]))
+        factors += [f for f in (d.entries[i][i] for i in range(min(len(keys), len(rest)))) if f]
+    return factors
 
 
 def _residue(x, d):

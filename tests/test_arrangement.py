@@ -17,6 +17,7 @@ from lkbrep.arrangement import (
     salvetti_h1,
     salvetti_twisted_complex,
 )
+from lkbrep.complexes import CellComplex
 from lkbrep.linalg import field_kernel
 from lkbrep.ring import LaurentPolynomial as LP, RationalFunction as RF, VerificationError, X
 
@@ -120,7 +121,6 @@ def zaslavsky_counts(coeffs):
 
 def test_wide_coefficients_match_zaslavsky():
     rng = random.Random(2024)
-    h1_checked = 0
     for _ in range(40):
         lines = set()
         target = rng.randint(3, 7)
@@ -139,11 +139,23 @@ def test_wide_coefficients_match_zaslavsky():
             assert all(fc.vertices[vi].sign[e.line] == 0 for vi in e.vertices)
         sc = build_salvetti(fc)
         assert sc.counts() == (chambers, 2 * edges, incidences)
-        if len(lines) <= 4 and h1_checked < 5:
-            h1_checked += 1
-            rank, torsion, _ = salvetti_h1(sc)
-            assert (rank, torsion) == (len(lines), [])
-    assert h1_checked == 5
+        rank, torsion, relations = salvetti_h1(sc)
+        assert (rank, torsion) == (len(lines), [])
+        assert (rank, torsion) == dense_smith_h1(sc.complex)
+        assert sorted(relations) == list(range(edges))
+        assert all(v is False for v in relations.values())
+
+
+def dense_smith_h1(cx):
+    """(rank, torsion) of H1 from a dense d2 in Smith normal form."""
+    es = sorted(cx.edges)
+    eidx = {e: i for i, e in enumerate(es)}
+    d2 = [[0] * len(cx.cells) for _ in es]
+    for j, word in enumerate(cx.cells.values()):
+        for e, sign in word:
+            d2[eidx[e]][j] += sign
+    factors = linalg.int_smith_solver(linalg.Matrix(d2, nrows=len(es), ncols=len(cx.cells))).factors
+    return len(es) - (len(cx.vertices) - 1) - len(factors), [f for f in factors if f != 1]
 
 
 def test_missing_facets_raise_verification_errors(monkeypatch):
@@ -238,20 +250,20 @@ def test_salvetti_h1_examples():
     sc = build_salvetti(build_facets([Line.from_rationals(1, 0, 0)]))
     rank, torsion, relations = salvetti_h1(sc)
     assert (rank, torsion) == (1, [])
-    assert set(relations) == {0}
+    assert relations == {0: False}
     sc = build_salvetti(build_facets(
         [Line.from_rationals(1, 0, 0), Line.from_rationals(0, 1, 0)]))
     rank, torsion, relations = salvetti_h1(sc)
     assert (rank, torsion) == (2, [])
     # the opposite directed edges over a facet are each half a loop around
-    # the carrier, so their loop classes differ here (verified by hand for
-    # this complex); the report simply records that per facet
+    # the carrier, so their loop classes differ by an odd number of turns
     assert set(relations) == set(range(len(sc.fc.edges)))
-    assert all(isinstance(v, bool) for v in relations.values())
+    assert all(not v for v in relations.values())
     sc = build_salvetti(build_facets(lines_a2()))
     rank, torsion, relations = salvetti_h1(sc)
     assert (rank, torsion) == (5, [])
     assert set(relations) == set(range(len(sc.fc.edges)))
+    assert all(not v for v in relations.values())
 
 
 def count_smith_decompositions(monkeypatch):
@@ -266,17 +278,62 @@ def count_smith_decompositions(monkeypatch):
     return calls
 
 
-def test_salvetti_h1_runs_one_smith_decomposition(monkeypatch):
+def test_salvetti_h1_runs_no_smith_decomposition(monkeypatch):
     calls = count_smith_decompositions(monkeypatch)
-    eight = Path(__file__).resolve().parent.parent / "data" / "arrangements" / "family-08.json"
     for lines in ([Line.from_rationals(1, 0, 0)], lines_a2(),
-                  load_arrangement(json.loads(eight.read_text()))):
-        calls.clear()
+                  fixed_input("family-08"), fixed_input("wide-32")):
         sc = build_salvetti(build_facets(lines))
         rank, torsion, relations = salvetti_h1(sc)
         assert (rank, torsion) == (len(lines), [])
         assert len(relations) == len(sc.fc.edges)
-        assert len(calls) == 1
+    assert calls == []
+
+
+def fixed_input(name):
+    path = Path(__file__).resolve().parent.parent / "data" / "arrangements" / f"{name}.json"
+    return load_arrangement(json.loads(path.read_text()))
+
+
+def test_salvetti_h1_rejects_a_corrupted_complex(monkeypatch):
+    sc = build_salvetti(build_facets(lines_a2()))
+    cells = sc.complex.cells
+    cell = next(iter(cells))
+    # a letter dropped from one boundary word: phi no longer kills it
+    cut = {**cells, cell: cells[cell][1:]}
+    bad = dataclasses.replace(sc, complex=CellComplex(sc.complex.vertices, sc.complex.edges, cut))
+    with pytest.raises(VerificationError, match="phi does not vanish"):
+        salvetti_h1(bad)
+    # the 2-cells at one vertex deleted: phi kills every word left, but d2
+    # loses rank
+    kept = {c: word for c, word in cells.items() if c[1] != 0}
+    bad = dataclasses.replace(sc, complex=CellComplex(sc.complex.vertices, sc.complex.edges, kept))
+    with pytest.raises(VerificationError, match="H1 rank 9 differs from the line count 5"):
+        salvetti_h1(bad)
+    # one directed edge relabelled to another line
+    edge, line = next(iter(sc.edge_line.items()))
+    relabelled = {**sc.edge_line, edge: (line + 1) % 5}
+    with pytest.raises(VerificationError, match="phi does not vanish"):
+        salvetti_h1(dataclasses.replace(sc, edge_line=relabelled))
+    # phi of the tree paths patched so that one relation's entry is zero
+    tree_phi = arrangement._tree_phi
+
+    def flattened(cx, edge_line, nlines):
+        phi = tree_phi(cx, edge_line, nlines)
+        (src, tgt), line = cx.edges[edge], edge_line[edge]
+        phi[tgt][line] = phi[src][line]
+        return phi
+
+    monkeypatch.setattr(arrangement, "_tree_phi", flattened)
+    with pytest.raises(VerificationError, match="phi does not separate"):
+        salvetti_h1(sc)
+
+
+def test_salvetti_h1_rejects_a_disconnected_complex():
+    sc = build_salvetti(build_facets(lines_a2()))
+    lone = ("w", len(sc.complex.vertices))
+    cx = CellComplex(sc.complex.vertices + [lone], sc.complex.edges, sc.complex.cells)
+    with pytest.raises(VerificationError, match="not connected"):
+        salvetti_h1(dataclasses.replace(sc, complex=cx))
 
 
 def test_sign_vector_matches_line_side():

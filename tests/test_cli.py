@@ -102,6 +102,35 @@ def test_arrangement_fixed_eight_lines(capsys):
     assert out["h1"]["rank"] == 8 and out["h1"]["torsion"] == []
 
 
+@pytest.mark.parametrize("m", [24, 32])
+def test_arrangement_fixed_wide_lines(capsys, m):
+    f = Path(__file__).resolve().parent.parent / "data" / "arrangements" / f"wide-{m:02d}.json"
+    code, out, err = run(capsys, "arrangement", "--input", str(f), "--format", "json")
+    assert code == 0, err
+    out = json.loads(out)
+    assert out["lines"] == m
+    assert out["h1"]["rank"] == m and out["h1"]["torsion"] == []
+
+
+def test_arrangement_deeply_nested_json_exits_2(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000)
+    code, out, err = run(capsys, "arrangement", "--input", str(f))
+    assert code == 2
+    assert out == ""
+    assert err == f"{f}: JSON nested too deeply to read\n"
+
+
+def test_arrangement_long_integer_literal_exits_2(tmp_path, capsys):
+    f = tmp_path / "long.json"
+    f.write_text('{"lines": [{"a": ' + "1" * 5000 + ', "b": 0, "c": 0}]}')
+    code, out, err = run(capsys, "arrangement", "--input", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{f}: Exceeds the limit")
+    assert "Traceback" not in err
+
+
 def test_arrangement_malformed_json(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text('{"lines": [ {"a": "1", }')

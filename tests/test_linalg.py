@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lkbrep import linalg
 from lkbrep.linalg import (
     Matrix,
     field_inv,
@@ -15,6 +16,7 @@ from lkbrep.linalg import (
     int_smith_solver,
     int_smith_transforms,
     int_solve,
+    int_unit_pivot_factors,
     ring_triangular_inverse,
     VerificationError,
 )
@@ -180,6 +182,36 @@ def test_int_smith_randomized():
             for j in range(d.ncols):
                 if i != j:
                     assert d.entries[i][j] == 0
+
+
+def sparse_columns(rows):
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
+
+
+def test_unit_pivot_factors_match_dense_smith(monkeypatch):
+    calls = []
+    smith = linalg.int_smith_transforms
+    monkeypatch.setattr(linalg, "int_smith_transforms", lambda a: calls.append(a) or smith(a))
+    assert int_unit_pivot_factors([]) == []
+    assert int_unit_pivot_factors([{}, {3: 0}]) == []
+    assert int_unit_pivot_factors(sparse_columns([[0, 0], [0, 0]])) == []
+    assert int_unit_pivot_factors([{"b": 2, "a": -1}, {"a": 3}]) == [1, 6]
+    assert calls == [Matrix([[6]])]
+    rng = random.Random(23)
+    remainders = 0
+    for trial in range(150):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        # mostly sparse +-1 entries; some matrices also get entries that no
+        # unit pivot clears, which leaves a remainder for the Smith form
+        pool = [0, 0, 0, 1, -1] + ([2, -3, 4, 6] if trial % 3 == 0 else [])
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+        calls.clear()
+        got = int_unit_pivot_factors(sparse_columns(rows))
+        remainders += bool(calls)
+        assert len(calls) <= 1
+        calls.clear()
+        assert got == int_smith(Matrix(rows))[0]
+    assert remainders >= 10
 
 
 def test_int_solve():

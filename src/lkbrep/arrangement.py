@@ -395,9 +395,31 @@ def salvetti_twisted_complex(sc, weights):
     return TwistedComplex(sorted(cx.vertices), basis1, basis2, d_cols, wmap)
 
 
+# An entry is refused before Fraction reads it when it has more digits, or a
+# larger decimal exponent in magnitude, than this: "1e200000" alone builds a
+# 664,000-bit integer that every later intersection multiplies.  JSON floats
+# (at most 17 digits, exponents -324..308) pass.
+MAX_DECIMAL_DIGITS = 400
+
+
+def _check_decimal_size(text):
+    """Raise ValueError when the decimal string text is too long to read
+    (MAX_DECIMAL_DIGITS); malformed text is left for Fraction to reject."""
+    if len(text) <= MAX_DECIMAL_DIGITS and "e" not in text and "E" not in text:
+        return  # too short for too many digits, and no exponent
+    mantissa, _, exponent = text.upper().partition("E")
+    if sum(map(str.isdecimal, mantissa)) > MAX_DECIMAL_DIGITS:
+        raise ValueError(f"more than {MAX_DECIMAL_DIGITS} digits")
+    magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if magnitude.isdecimal() and (len(magnitude) > len(str(MAX_DECIMAL_DIGITS))
+                                  or int(magnitude) > MAX_DECIMAL_DIGITS):
+        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_DIGITS} in magnitude")
+
+
 def load_arrangement(obj):
     """Arrangement from its JSON form {"lines": [{"a": .., "b": .., "c": ..}]}
-    with rational entries given as "p/q" or integer strings."""
+    with rational entries given as "p/q" or integer strings (decimals are
+    read too, up to MAX_DECIMAL_DIGITS digits and exponent)."""
     if not isinstance(obj, dict) or "lines" not in obj or not isinstance(obj["lines"], list):
         raise ValueError('expected an object of the form {"lines": [...]}')
     lines = []
@@ -409,7 +431,9 @@ def load_arrangement(obj):
             if key not in entry:
                 raise ValueError(f"lines[{pos}].{key}: missing")
             try:
-                vals.append(Fraction(str(entry[key])))
+                text = str(entry[key])
+                _check_decimal_size(text)
+                vals.append(Fraction(text))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"lines[{pos}].{key}: {exc}") from exc
         try:

@@ -229,16 +229,17 @@ class TwistedComplex:
                       row_labels=self.basis1, col_labels=self.basis2)
 
     def untwist(self):
-        """Ordinary cellular boundary matrix: every weight specialized to 1."""
-        rows = []
-        for e in self.basis1:
-            row = []
-            for c in self.basis2:
-                v = self.d_cols[c][e]
-                row.append(sum(v.terms.values()) if v else 0)
-            rows.append(row)
-        return Matrix(rows, nrows=len(self.basis1), ncols=len(self.basis2),
-                      row_labels=self.basis1, col_labels=self.basis2)
+        """Ordinary cellular boundary with every weight specialized to 1, as
+        sparse integer columns {cell: {edge: entry}} in basis order."""
+        cols = {}
+        for c in self.basis2:
+            col = {}
+            for e, v in self.d_cols[c].coeffs.items():
+                total = sum(v.terms.values())
+                if total:
+                    col[e] = total
+            cols[c] = col
+        return cols
 
     def to_json_obj(self):
         obj = {

@@ -12,7 +12,8 @@ leading square cell.  A descent that succeeds writes its input as a
 combination of basis cycles, so it certifies that the input is a cycle;
 only a failed one computes a boundary, to tell a non-cycle from a defect
 in the basis.  For first homology, the boundary is specialized at
-x = y = 1 and handed to Smith normal form.
+x = y = 1 and reduced on unit pivots, and each relation is checked by an
+explicit preimage.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .complexes import (
     pair_list,
     sal_fn,
 )
-from .linalg import VerificationError, int_smith_solver
+from .linalg import VerificationError, int_unit_pivot_factors
 from .ring import LaurentPolynomial, lp_try_div_exact, ONE, X, Y, ZERO
 
 LEAD = (Y - 1) * (X * Y + 1)  # coefficient of the A cell inside each E cycle
@@ -295,27 +296,34 @@ def _reduction_error(u, n, message):
 def h1_fn(n):
     """Integral first homology of the one-vertex complex: (rank, torsion)
     of the cokernel of the untwisted boundary, plus a report confirming
-    that each c_i - c_1 and b_i - a_i lies in the boundary image.  The
-    boundary is put in Smith normal form once; every relation is solved
-    against that decomposition."""
+    that each c_i - c_1 and b_i - a_i lies in the boundary image.
+
+    The boundary at x = y = 1 is read as sparse integer columns and reduced
+    by int_unit_pivot_factors; with one vertex, the rank is #edges -
+    #factors.  Each relation has an explicit preimage, summed exactly over
+    the columns: c_i - c_1 = d(B(1,1) + ... + B(i-1,1)) and
+    b_i - a_i = dB(i,2) - dB(i,1).  A sum that misses its target raises
+    VerificationError, since a failed preimage does not prove the relation
+    false."""
     if n < 2:
         raise ValueError("need n >= 2")
     tc = sal_fn(n)
-    m = tc.untwist()
-    smith = int_smith_solver(m)
-    factors = smith.factors
+    cols = tc.untwist()
+    factors = int_unit_pivot_factors(list(cols.values()))
     h1rank = len(tc.basis1) - len(factors)
     torsion = [d for d in factors if d != 1]
-    eidx = {e: k for k, e in enumerate(tc.basis1)}
-    relations = {}
+    relations = {}  # name -> (preimage as (coefficient, cell) pairs, target)
     for i in range(2, n + 2):
-        vec = [0] * len(tc.basis1)
-        vec[eidx[edge_c(i)]] = 1
-        vec[eidx[edge_c(1)]] = -1
-        relations[f"c{i}-c1"] = smith.solve(vec) is not None
+        relations[f"c{i}-c1"] = ([(1, cell_B(k, 1)) for k in range(1, i)],
+                                 {edge_c(i): 1, edge_c(1): -1})
     for i in range(1, n + 1):
-        vec = [0] * len(tc.basis1)
-        vec[eidx[edge_b(i)]] = 1
-        vec[eidx[edge_a(i)]] = -1
-        relations[f"b{i}-a{i}"] = smith.solve(vec) is not None
-    return h1rank, torsion, relations
+        relations[f"b{i}-a{i}"] = ([(1, cell_B(i, 2)), (-1, cell_B(i, 1))],
+                                   {edge_b(i): 1, edge_a(i): -1})
+    for name, (preimage, target) in relations.items():
+        image = {}
+        for k, cell in preimage:
+            for e, v in cols[cell].items():
+                image[e] = image.get(e, 0) + k * v
+        if {e: v for e, v in image.items() if v} != target:
+            raise VerificationError(f"H1 relation {name}: its preimage misses the target")
+    return h1rank, torsion, {name: True for name in relations}

@@ -11,15 +11,15 @@ right, so identical inputs give identical outputs.
 The verification path runs no field elimination.  It rests on exact
 certificates in the Laurent ring, such as a ring inverse accepted once
 a * a^-1 = I holds exactly; the field functions serve as oracles for those
-certificates.  An integer matrix is put in Smith normal form once, and
-every right-hand side is solved against that one decomposition; each
-answer, positive or negative, comes with an exact check.
+certificates.  Integer matrices are given as sparse columns and reduced on
+their +-1 entries; only a remainder with no unit entry goes to the Smith
+normal form.  Lattice membership needs no solver: a caller that knows a
+preimage sums it exactly and compares.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .ring import RationalFunction, VerificationError, ONE, ZERO, _as_rf, lp_try_div_exact
 
@@ -330,7 +330,7 @@ def field_inv(a):
 
 
 # ---------------------------------------------------------------------------
-# integer computations (Smith normal form and lattice membership)
+# integer computations (unit pivots, with Smith normal form for the rest)
 
 
 def _xgcd(a, b):
@@ -502,98 +502,3 @@ def int_unit_pivot_factors(columns):
         d, _, _ = int_smith_transforms(Matrix([[col.get(r, 0) for col in rest] for r in keys]))
         factors += [f for f in (d.entries[i][i] for i in range(min(len(keys), len(rest)))) if f]
     return factors
-
-
-def _residue(x, d):
-    """x mod d, with modulus 0 meaning x itself (divisibility by 0 is
-    equality with 0)."""
-    return x % d if d else x
-
-
-def _sparse(rows):
-    return [[(j, e) for j, e in enumerate(row) if e] for row in rows]
-
-
-@dataclass(frozen=True)
-class IntSmithSolver:
-    """One Smith decomposition u*a*v = d of an integer matrix a, against
-    which any number of right-hand sides b are solved.
-
-    solve(b) does not trust the decomposition.  A solution x is returned
-    only once a*x = b holds exactly.  None is returned only with a witness:
-    the row w = u_i at the first i where u*b misses the lattice d*Z^n, with
-    w*a = 0 and w*b != 0 modulo d_i (modulus 0 meaning exactly), which no
-    integer x with a*x = b allows."""
-
-    a: Matrix
-    d: Matrix
-    u: Matrix
-    v: Matrix
-
-    def __post_init__(self):
-        m, n = self.a.nrows, self.a.ncols
-        diag = [self.d.entries[i][i] if i < min(m, n) else 0 for i in range(m)]
-        # sparse views, so that u*b, v*y and the checks against a touch only
-        # nonzero entries: right-hand sides have a few nonzero entries each
-        object.__setattr__(self, "_diag", diag)
-        object.__setattr__(self, "_a_rows", _sparse(self.a.entries))
-        object.__setattr__(self, "_u_cols", _sparse(zip(*self.u.entries)))
-        object.__setattr__(self, "_v_cols", _sparse(zip(*self.v.entries)))
-
-    @property
-    def factors(self):
-        """The invariant factors d_1 | d_2 | ..., one per unit of rank."""
-        return [f for f in self._diag if f]
-
-    def solve(self, b):
-        """Some integer solution of a*x = b, or None; either answer is
-        checked exactly (see the class docstring)."""
-        if len(b) != self.a.nrows:
-            raise ValueError("dimension mismatch")
-        c = [0] * self.a.nrows
-        for j, bj in enumerate(b):
-            if bj:
-                for i, uij in self._u_cols[j]:
-                    c[i] += uij * bj
-        x = [0] * self.a.ncols
-        for i, (ci, di) in enumerate(zip(c, self._diag)):
-            if _residue(ci, di):
-                self._check_witness(i)
-                return None
-            if ci:
-                yi = ci // di
-                for k, vki in self._v_cols[i]:
-                    x[k] += vki * yi
-        for row, bi in zip(self._a_rows, b):
-            if sum(e * x[j] for j, e in row) != bi:
-                raise VerificationError("integer solve verification failed")
-        return x
-
-    def _check_witness(self, i):
-        # w*b = (u*b)_i is nonzero modulo d_i, which is how solve chose i;
-        # what is left to check is w*a = 0 modulo d_i
-        w, di = self.u.entries[i], self._diag[i]
-        wa = [0] * self.a.ncols
-        for k, wk in enumerate(w):
-            if wk:
-                for j, e in self._a_rows[k]:
-                    wa[j] += wk * e
-        if any(_residue(e, di) for e in wa):
-            raise VerificationError(
-                f"integer solve: row {i} of u does not witness that b is off the lattice")
-
-
-def int_smith_solver(a):
-    """The Smith decomposition of an integer matrix, ready to solve against."""
-    return IntSmithSolver(a, *int_smith_transforms(a))
-
-
-def int_smith(a):
-    """Invariant factors d_1 | d_2 | ... of an integer matrix and its rank."""
-    factors = int_smith_solver(a).factors
-    return factors, len(factors)
-
-
-def int_solve(a, b):
-    """Some integer solution of a*x = b, or None; either answer is checked."""
-    return int_smith_solver(a).solve(b)

@@ -46,10 +46,6 @@ class LaurentPolynomial:
     def constant(cls, c):
         return cls({(0, 0): int(c)})
 
-    @classmethod
-    def monomial(cls, coeff, ex, ey):
-        return cls({(ex, ey): int(coeff)})
-
     def __bool__(self):
         return bool(self.terms)
 

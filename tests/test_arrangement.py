@@ -154,7 +154,8 @@ def dense_smith_h1(cx):
     for j, word in enumerate(cx.cells.values()):
         for e, sign in word:
             d2[eidx[e]][j] += sign
-    factors = linalg.int_smith_solver(linalg.Matrix(d2, nrows=len(es), ncols=len(cx.cells))).factors
+    d, _, _ = linalg.int_smith_transforms(linalg.Matrix(d2, nrows=len(es), ncols=len(cx.cells)))
+    factors = [f for f in (d.entries[i][i] for i in range(min(d.nrows, d.ncols))) if f]
     return len(es) - (len(cx.vertices) - 1) - len(factors), [f for f in factors if f != 1]
 
 
@@ -383,7 +384,8 @@ def test_twisted_complex_from_arrangement():
     tc = salvetti_twisted_complex(sc, {0: X, 1: X})
     # all weights 1 is the untwisted boundary: evaluate the twisted one
     d = tc.differential_matrix()
-    un = tc.untwist()
+    cols = tc.untwist()
+    un = linalg.Matrix([[cols[c].get(e, 0) for c in tc.basis2] for e in tc.basis1])
     for i in range(d.nrows):
         for j in range(d.ncols):
             v = d.entries[i][j]
@@ -427,3 +429,26 @@ def test_load_arrangement():
         load_arrangement({"lines": [{"a": "1", "b": "0"}]})
     with pytest.raises(ValueError):
         load_arrangement({"nope": []})
+
+
+def test_load_arrangement_bounds_decimal_size():
+    bound = arrangement.MAX_DECIMAL_DIGITS
+
+    def load(a):
+        return load_arrangement({"lines": [{"a": a, "b": 1, "c": 0}]})
+
+    # JSON floats at both ends of the double range, and decimal strings
+    assert load(1.7976931348623157e308)[0].a > 0
+    assert load(5e-324)[0].a > 0
+    assert load("0.1") == [Line(1, 10, 0)]
+    assert load(f"1e{bound}") == load(f"1E+{bound}") == [Line(10 ** bound, 1, 0)]
+    assert load(f"1e-{bound}") == [Line(1, 10 ** bound, 0)]
+    assert load("7" * bound)[0].a == int("7" * bound)
+    for bad, message in [(f"1e{bound + 1}", "exponent"), (f"1e-{bound + 1}", "exponent"),
+                         ("1e" + "0" * 500 + "401", "exponent"), ("1e" + "9" * 5000, "exponent"),
+                         ("7" * (bound + 1), "digits"), ("1" * 300 + "/" + "3" * 101, "digits")]:
+        with pytest.raises(ValueError, match=rf"lines\[0\]\.a: .*{message}"):
+            load(bad)
+    # malformed text still reaches Fraction's own message
+    with pytest.raises(ValueError, match="Invalid literal"):
+        load("1e")

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,20 @@ def test_arrangement_long_integer_literal_exits_2(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"{f}: Exceeds the limit")
     assert "Traceback" not in err
+
+
+def test_arrangement_huge_decimal_exponent_exits_2_at_once(tmp_path, capsys):
+    lines = [{"a": "1", "b": "2", "c": "5"}, {"a": "1", "b": "1", "c": "2"},
+             {"a": "3", "b": "1", "c": "1"}, {"a": "1", "b": "-1", "c": "1"}]
+    lines[0]["a"], lines[1]["b"], lines[2]["c"] = "1e200000", "3e200000", "7e200000"
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"lines": lines}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "arrangement", "--input", str(f))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"{f}: lines[0].a: decimal exponent beyond 400 in magnitude\n"
 
 
 def test_arrangement_malformed_json(tmp_path, capsys):

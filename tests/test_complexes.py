@@ -112,19 +112,17 @@ def test_word_to_chain_left_loop_equivariance():
 
 def test_untwist_columns():
     tc = sal_fn(2)
-    m = tc.untwist()
-    col = {e: m[(m.row_labels.index(e), m.col_labels.index(cell_A(1, 2)))]
-           for e in tc.basis1}
-    assert all(v == 0 for v in col.values())
-    jb11 = m.col_labels.index(cell_B(1, 1))
-    assert m[(m.row_labels.index(edge_c(1)), jb11)] == -1
-    assert m[(m.row_labels.index(edge_c(2)), jb11)] == 1
-    assert m[(m.row_labels.index(edge_a(1)), jb11)] == 0
-    jb12 = m.col_labels.index(cell_B(1, 2))
-    assert m[(m.row_labels.index(edge_a(1)), jb12)] == -1
-    assert m[(m.row_labels.index(edge_b(1)), jb12)] == 1
-    assert m[(m.row_labels.index(edge_c(1)), jb12)] == -1
-    assert m[(m.row_labels.index(edge_c(2)), jb12)] == 1
+    cols = tc.untwist()
+    assert list(cols) == tc.basis2
+    assert cols[cell_A(1, 2)] == {}
+    assert cols[cell_B(1, 1)] == {edge_c(1): -1, edge_c(2): 1}
+    assert cols[cell_B(1, 2)] == {edge_a(1): -1, edge_b(1): 1, edge_c(1): -1, edge_c(2): 1}
+    # every entry is its twisted coefficient at x = y = 1, and no zero is stored
+    for c, col in cols.items():
+        assert all(col.values())
+        for e in tc.basis1:
+            v = tc.d_cols[c][e]
+            assert col.get(e, 0) == (sum(v.terms.values()) if v else 0)
 
 
 def test_basis_order():

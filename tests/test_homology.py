@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from lkbrep.homology import (
     verify_eta_triangular,
     LEAD,
 )
-from lkbrep import homology, linalg
+from lkbrep import action, cli, complexes, homology, linalg
 from lkbrep.linalg import VerificationError, field_kernel_raw, field_rank
 from lkbrep.ring import LaurentPolynomial, RationalFunction, ONE, X, Y, ZERO
 
@@ -324,8 +325,8 @@ def test_h1(n):
     assert f"b1-a1" in relations
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_h1_runs_one_smith_decomposition(monkeypatch, n):
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_h1_runs_no_smith_decomposition(monkeypatch, n):
     calls = []
     smith = linalg.int_smith_transforms
 
@@ -336,4 +337,46 @@ def test_h1_runs_one_smith_decomposition(monkeypatch, n):
     monkeypatch.setattr(linalg, "int_smith_transforms", counted)
     rank, _, relations = h1_fn(n)
     assert rank == n + 1 and len(relations) == 2 * n
-    assert len(calls) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_h1_matches_a_dense_smith_oracle(n):
+    tc = sal_fn(n)
+    rows = []
+    for e in tc.basis1:
+        row = []
+        for c in tc.basis2:
+            v = tc.d_cols[c][e]
+            row.append(sum(v.terms.values()) if v else 0)
+        rows.append(row)
+    d, _, _ = linalg.int_smith_transforms(linalg.Matrix(rows))
+    factors = [f for f in (d.entries[i][i] for i in range(min(d.nrows, d.ncols))) if f]
+    rank, torsion, _ = h1_fn(n)
+    assert (rank, torsion) == (len(tc.basis1) - len(factors), [f for f in factors if f != 1])
+
+
+def _clear_complex_caches():
+    for mod in (complexes, homology, action):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+@pytest.mark.parametrize("cell, relation", [(cell_B(1, 1), "c2-c1"), (cell_B(1, 2), "b1-a1")])
+def test_h1_names_the_relation_a_corrupted_column_breaks(monkeypatch, capsys, cell, relation):
+    # the doubled word doubles the column at x = y = 1, so the relation's
+    # preimage reaches twice its target
+    word = complexes.sal_boundary_word
+    monkeypatch.setattr(complexes, "sal_boundary_word",
+                        lambda c: word(c) * 2 if c == cell else word(c))
+    _clear_complex_caches()
+    try:
+        with pytest.raises(VerificationError, match=f"H1 relation {relation}:"):
+            h1_fn(3)
+        assert cli.main(["verify", "--max-n", "3", "--format", "json"]) == 1
+        rows = {r["check"]: r["passed"] for r in json.loads(capsys.readouterr().out)["rows"]}
+        assert rows["h1-rank-and-relations"] is False
+    finally:
+        monkeypatch.undo()
+        _clear_complex_caches()

@@ -70,6 +70,56 @@ def f(cols, u):
     assert _scaled_accumulations(ast.parse(src)) == [5, 7]
 
 
+def _smith_references(tree):
+    """(owner, line) for every use of the name int_smith_transforms other
+    than its definition: calls, attribute reads and imports, the owner
+    being the innermost enclosing function or "<module>"."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if ((isinstance(child, ast.Name) and child.id == "int_smith_transforms")
+                    or (isinstance(child, ast.Attribute) and child.attr == "int_smith_transforms")
+                    or (isinstance(child, ast.ImportFrom)
+                        and any(a.name == "int_smith_transforms" for a in child.names))):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_h1_path_reaches_the_smith_form():
+    # integer homology goes through int_unit_pivot_factors; only it hands a
+    # remainder to the dense Smith form
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    owners = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners |= {f"{path.name}:{owner}" for owner, _ in _smith_references(tree)}
+    assert owners == {"linalg.py:int_unit_pivot_factors"}
+
+
+def test_the_smith_lint_sees_every_other_use():
+    src = """
+from .linalg import int_smith_transforms as snf
+
+def int_unit_pivot_factors(cols):
+    return int_smith_transforms(cols)
+
+def h1_fn(m):
+    def inner():
+        return linalg.int_smith_transforms(m)
+    return inner()
+"""
+    assert _smith_references(ast.parse(src)) == [
+        ("<module>", 2), ("int_unit_pivot_factors", 5), ("inner", 9)]
+
+
 def test_verification_error_has_one_class():
     from lkbrep import linalg, ring
 
